@@ -33,6 +33,36 @@ fi
 run cargo build --release $OFFLINE
 run cargo test --workspace -q $OFFLINE
 
+# The repository benchmark (its own package and workspace): its self-tests,
+# then a short traced run of every workload. Each run must answer every
+# operation correctly, fail none, and reconcile its spans and ledger phases.
+run cargo test $OFFLINE --manifest-path perfbench/Cargo.toml
+BENCH_OUT="$(mktemp)"
+run cargo run --quiet --release $OFFLINE --manifest-path perfbench/Cargo.toml -- \
+  --workload all --seconds 2 --trace 1 > "$BENCH_OUT"
+echo "==> checking the perfbench smoke result"
+python3 - "$BENCH_OUT" <<'EOF'
+import json, sys
+
+lines = [l for l in open(sys.argv[1]) if l.startswith("{")]
+if not lines:
+    sys.exit("perfbench printed no JSON result line")
+last = json.loads(lines[-1])
+if last.get("correct") is not True:
+    sys.exit("perfbench smoke: an operation answered wrongly (correct != true)")
+if last.get("failed") != 0:
+    sys.exit(f"perfbench smoke: {last.get('failed')} operations failed")
+metrics = last.get("metrics", {})
+for workload in ("sql_mix", "fig3_pipeline", "ingest_scan"):
+    key = f"{workload}.obs.reconcile_failures"
+    if key not in metrics:
+        sys.exit(f"perfbench smoke: no {key} metric")
+    if metrics[key]["value"] != 0:
+        sys.exit(f"perfbench smoke: {key} = {metrics[key]['value']}")
+print(f"    attempted={last['attempted']} failed=0 correct=true reconcile_failures=0 on all workloads")
+EOF
+rm -f "$BENCH_OUT"
+
 # Benchmarks must keep compiling even though CI doesn't time them. The
 # micro-benches are named explicitly so a [[bench]] stanza typo can't
 # silently drop them from the sweep.

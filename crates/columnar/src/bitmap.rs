@@ -68,6 +68,7 @@ impl Bitmap {
         self.len == 0
     }
 
+    #[inline]
     pub fn push(&mut self, valid: bool) {
         let word = self.len / 64;
         if word == self.words.len() {
@@ -81,6 +82,7 @@ impl Bitmap {
 
     /// Whether bit `i` is set. Panics past the end (indexing contract, same
     /// as slices).
+    #[inline]
     pub fn get(&self, i: usize) -> bool {
         assert!(i < self.len, "bitmap index {i} out of range {}", self.len);
         self.words[i / 64] & (1u64 << (i % 64)) != 0
@@ -108,6 +110,7 @@ impl Bitmap {
     }
 
     /// Set bit `i` (must be in range).
+    #[inline]
     pub fn set(&mut self, i: usize) {
         assert!(i < self.len, "bitmap index {i} out of range {}", self.len);
         self.words[i / 64] |= 1u64 << (i % 64);

@@ -4,6 +4,43 @@ use crate::bitmap::Bitmap;
 use crate::error::{ColumnarError, Result};
 use crate::value::{DataType, Value};
 
+/// Rebuild a column variant-for-variant: `$body` sees the typed `data`
+/// slice and `validity` and returns the new `(Vec<T>, Bitmap)` pair.
+macro_rules! map_typed {
+    ($col:expr, |$data:ident, $valid:ident| $body:expr) => {
+        match $col {
+            Column::Int64 {
+                data: $data,
+                validity: $valid,
+            } => {
+                let (data, validity) = $body;
+                Column::Int64 { data, validity }
+            }
+            Column::Float64 {
+                data: $data,
+                validity: $valid,
+            } => {
+                let (data, validity) = $body;
+                Column::Float64 { data, validity }
+            }
+            Column::Bool {
+                data: $data,
+                validity: $valid,
+            } => {
+                let (data, validity) = $body;
+                Column::Bool { data, validity }
+            }
+            Column::Varchar {
+                data: $data,
+                validity: $valid,
+            } => {
+                let (data, validity) = $body;
+                Column::Varchar { data, validity }
+            }
+        }
+    };
+}
+
 /// A column of values, stored contiguously by type, with a validity bitmap
 /// marking NULLs. NULL slots hold a default value in the data vector; readers
 /// must consult the bitmap.
@@ -357,13 +394,37 @@ impl Column {
         })
     }
 
-    /// Gather rows at `indices` (in order, duplicates allowed).
+    /// Gather rows at `indices` (in order, duplicates allowed). Typed copy
+    /// loops — no boxed [`Value`]s.
     pub fn take(&self, indices: &[usize]) -> Column {
-        let mut b = ColumnBuilder::new(self.data_type());
-        for &i in indices {
-            b.push(self.get(i)).expect("same type");
+        fn gather<T: Clone>(data: &[T], validity: &Bitmap, idx: &[usize]) -> (Vec<T>, Bitmap) {
+            let values = idx.iter().map(|&i| data[i].clone()).collect();
+            let valid = if validity.all_set() {
+                Bitmap::all_valid(idx.len())
+            } else {
+                Bitmap::from_fn(idx.len(), |k| validity.get(idx[k]))
+            };
+            (values, valid)
         }
-        b.finish()
+        map_typed!(self, |data, validity| gather(data, validity, indices))
+    }
+
+    /// Gather rows at `indices`, where a `None` index yields a NULL row (the
+    /// unmatched side of an outer join).
+    pub fn take_opt(&self, indices: &[Option<usize>]) -> Column {
+        fn gather<T: Clone + Default>(
+            data: &[T],
+            validity: &Bitmap,
+            idx: &[Option<usize>],
+        ) -> (Vec<T>, Bitmap) {
+            let values = idx
+                .iter()
+                .map(|i| i.map_or_else(T::default, |i| data[i].clone()))
+                .collect();
+            let valid = Bitmap::from_fn(idx.len(), |k| idx[k].is_some_and(|i| validity.get(i)));
+            (values, valid)
+        }
+        map_typed!(self, |data, validity| gather(data, validity, indices))
     }
 
     /// Approximate in-memory footprint, in bytes. Drives the ledger's
@@ -550,6 +611,16 @@ mod tests {
         assert_eq!(taken.get(0), Value::Varchar("d".into()));
         assert_eq!(taken.get(2), Value::Varchar("a".into()));
         assert!(col.filter(&Bitmap::from_bools(&[true])).is_err());
+        // `None` gathers a NULL row; NULL sources stay NULL.
+        let mut b = ColumnBuilder::new(DataType::Int64);
+        b.push(Value::Int64(7)).unwrap();
+        b.push_null();
+        let ints = b.finish();
+        let taken = ints.take_opt(&[Some(1), None, Some(0)]);
+        assert_eq!(taken.get(0), Value::Null);
+        assert_eq!(taken.get(1), Value::Null);
+        assert_eq!(taken.get(2), Value::Int64(7));
+        assert_eq!(ints.take(&[1, 0]).null_count(), 1);
     }
 
     #[test]

@@ -409,6 +409,172 @@ pub fn cmp_scalar_dict(
     ))
 }
 
+// ------------------------------------------------------------ row kernels
+//
+// Typed row-versus-row comparisons for sorting, top-N, grouping, and hash
+// joins: they read the column's own data in place instead of boxing each
+// operand into a `Value` per comparison.
+
+/// SQL order of two floats: numeric order with `-0.0 == 0.0`, and NaN above
+/// every number (and equal to itself), as in PostgreSQL. Unlike
+/// `partial_cmp(..).unwrap_or(Equal)` this is a consistent total preorder,
+/// so sorts over NaN-bearing columns are well defined.
+#[inline]
+pub fn cmp_f64(a: f64, b: f64) -> Ordering {
+    match (a.is_nan(), b.is_nan()) {
+        (false, false) => a.partial_cmp(&b).unwrap_or(Ordering::Equal),
+        (true, true) => Ordering::Equal,
+        (true, false) => Ordering::Greater,
+        (false, true) => Ordering::Less,
+    }
+}
+
+/// Total order over two non-NULL key values of the same dtype: numbers by
+/// [`cmp_f64`] with float ties broken by `f64::total_cmp` (so keys that
+/// group apart — `-0.0` and `0.0`, NaNs with different payloads — never
+/// compare Equal), strings by bytes, `false < true`. Gives GROUP BY output
+/// and MIN/MAX a result independent of input order. Mismatched dtypes
+/// compare Equal.
+#[inline]
+pub fn cmp_key(l: &Column, a: usize, r: &Column, b: usize) -> Ordering {
+    match (l, r) {
+        (Column::Int64 { data: x, .. }, Column::Int64 { data: y, .. }) => x[a].cmp(&y[b]),
+        (Column::Float64 { data: x, .. }, Column::Float64 { data: y, .. }) => {
+            cmp_f64_total(x[a], y[b])
+        }
+        (Column::Varchar { data: x, .. }, Column::Varchar { data: y, .. }) => x[a].cmp(&y[b]),
+        (Column::Bool { data: x, .. }, Column::Bool { data: y, .. }) => x[a].cmp(&y[b]),
+        _ => Ordering::Equal,
+    }
+}
+
+/// [`cmp_f64`] with ties broken by bit pattern.
+#[inline]
+fn cmp_f64_total(a: f64, b: f64) -> Ordering {
+    cmp_f64(a, b).then_with(|| a.total_cmp(&b))
+}
+
+/// One column's typed data, borrowed for row comparisons.
+enum Values<'a> {
+    I64(&'a [i64]),
+    F64(&'a [f64]),
+    Bool(&'a [bool]),
+    Str(&'a [String]),
+}
+
+struct OrderKey<'a> {
+    values: Values<'a>,
+    /// `None` when the column has no NULLs.
+    validity: Option<&'a Bitmap>,
+    desc: bool,
+}
+
+/// A typed multi-column row comparator for ORDER BY, top-N, and group-key
+/// order. Each key reads its column's own slice in place (no boxed values
+/// per comparison). SQL puts NULLs last in either direction; numbers order
+/// by [`cmp_f64`], strings by bytes, `false < true`.
+pub struct RowOrder<'a> {
+    keys: Vec<OrderKey<'a>>,
+    /// Break float ties by bit pattern, as [`cmp_key`] does.
+    total: bool,
+}
+
+impl<'a> RowOrder<'a> {
+    /// `keys` are `(column, descending)` pairs, most significant first.
+    pub fn new(keys: &[(&'a Column, bool)], total: bool) -> RowOrder<'a> {
+        let keys = keys
+            .iter()
+            .map(|&(col, desc)| OrderKey {
+                values: match col {
+                    Column::Int64 { data, .. } => Values::I64(data),
+                    Column::Float64 { data, .. } => Values::F64(data),
+                    Column::Bool { data, .. } => Values::Bool(data),
+                    Column::Varchar { data, .. } => Values::Str(data),
+                },
+                validity: (!col.validity().all_set()).then(|| col.validity()),
+                desc,
+            })
+            .collect();
+        RowOrder { keys, total }
+    }
+
+    /// Order rows `a` and `b`.
+    #[inline]
+    pub fn cmp(&self, a: usize, b: usize) -> Ordering {
+        for k in &self.keys {
+            let valid = k.validity.map_or((true, true), |v| (v.get(a), v.get(b)));
+            let ord = match valid {
+                (true, true) => {
+                    let ord = match k.values {
+                        Values::I64(d) => d[a].cmp(&d[b]),
+                        Values::F64(d) if self.total => cmp_f64_total(d[a], d[b]),
+                        Values::F64(d) => cmp_f64(d[a], d[b]),
+                        Values::Bool(d) => d[a].cmp(&d[b]),
+                        Values::Str(d) => d[a].cmp(&d[b]),
+                    };
+                    if k.desc {
+                        ord.reverse()
+                    } else {
+                        ord
+                    }
+                }
+                (false, false) => Ordering::Equal,
+                (false, true) => Ordering::Greater,
+                (true, false) => Ordering::Less,
+            };
+            if ord != Ordering::Equal {
+                return ord;
+            }
+        }
+        Ordering::Equal
+    }
+
+    /// The stable sort permutation of the first `rows` rows.
+    pub fn sorted(&self, rows: usize) -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..rows).collect();
+        idx.sort_by(|&a, &b| self.cmp(a, b));
+        idx
+    }
+
+    /// The first `k` rows of [`RowOrder::sorted`], found by selection
+    /// instead of sorting all `rows`.
+    pub fn top(&self, rows: usize, k: usize) -> Vec<usize> {
+        if k >= rows {
+            return self.sorted(rows);
+        }
+        if k == 0 {
+            return Vec::new();
+        }
+        // Ties broken by row position reproduce the stable order exactly.
+        let total = |a: &usize, b: &usize| self.cmp(*a, *b).then(a.cmp(b));
+        let mut idx: Vec<usize> = (0..rows).collect();
+        idx.select_nth_unstable_by(k - 1, total);
+        idx.truncate(k);
+        idx.sort_unstable_by(total);
+        idx
+    }
+}
+
+/// Key equality of row `a` of `l` and row `b` of `r` (same dtype): NULL
+/// equals NULL, floats compare by bit pattern (NaN groups with NaN, `-0.0`
+/// apart from `0.0`).
+#[inline]
+pub fn eq_key(l: &Column, a: usize, r: &Column, b: usize) -> bool {
+    let (va, vb) = (l.validity().get(a), r.validity().get(b));
+    if !(va && vb) {
+        return va == vb;
+    }
+    match (l, r) {
+        (Column::Int64 { data: x, .. }, Column::Int64 { data: y, .. }) => x[a] == y[b],
+        (Column::Float64 { data: x, .. }, Column::Float64 { data: y, .. }) => {
+            x[a].to_bits() == y[b].to_bits()
+        }
+        (Column::Varchar { data: x, .. }, Column::Varchar { data: y, .. }) => x[a] == y[b],
+        (Column::Bool { data: x, .. }, Column::Bool { data: y, .. }) => x[a] == y[b],
+        _ => false,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -456,6 +622,34 @@ mod tests {
             (truth.get(0), truth.get(1), truth.get(2)),
             (false, false, true)
         );
+    }
+
+    #[test]
+    fn row_order_puts_nulls_last_and_nan_above_numbers() {
+        let col = nullable_f64(&[
+            Some(2.0),
+            None,
+            Some(f64::NAN),
+            Some(-0.0),
+            Some(0.0),
+            Some(2.0),
+        ]);
+        let asc = RowOrder::new(&[(&col, false)], false);
+        assert_eq!(asc.sorted(6), vec![3, 4, 0, 5, 2, 1]);
+        let desc = RowOrder::new(&[(&col, true)], false);
+        assert_eq!(desc.sorted(6), vec![2, 0, 5, 3, 4, 1]);
+        // With bit-pattern tie-breaks -0.0 sorts before 0.0.
+        assert_eq!(
+            RowOrder::new(&[(&col, true)], true).sorted(6),
+            vec![2, 0, 5, 4, 3, 1]
+        );
+        // A top-N is exactly the prefix of the stable sort, ties included.
+        for k in 0..=6 {
+            assert_eq!(desc.top(6, k), desc.sorted(6)[..k].to_vec());
+        }
+        assert_eq!(cmp_key(&col, 3, &col, 4), Ordering::Less);
+        assert!(eq_key(&col, 2, &col, 2) && !eq_key(&col, 3, &col, 4));
+        assert!(eq_key(&col, 1, &col, 1) && !eq_key(&col, 1, &col, 0));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The distributed query executor.
 //!
 //! Regular `SELECT`s run MPP-style: every node scans, filters, and projects
-//! its own segment (and computes partial aggregates); the small per-node
-//! results are gathered to the initiator node for the final merge, sort, and
-//! limit. Transform (`OVER (PARTITION …)`) selects spawn UDx instances per
+//! its own segment (and computes partial aggregates with the typed operator
+//! in `exec_agg.rs`); the small per-node results are gathered to the
+//! initiator node for the final merge, sort, and limit. Under a `LIMIT`,
+//! each node ships only its first `offset + limit` rows. Transform (`OVER (PARTITION …)`) selects spawn UDx instances per
 //! node, the paper's extension mechanism.
 //!
 //! # Compressed execution
@@ -12,15 +13,15 @@
 //! returns [`EncodedBatch`]es whose Rle/Dictionary columns are still in
 //! run/code form. Predicates then evaluate per *run* or per *distinct
 //! dictionary code* ([`vdr_columnar::kernels::cmp_scalar_rle`] /
-//! [`cmp_scalar_dict`]), a single-column dictionary GROUP BY aggregates into
-//! a dense per-code table without hashing decoded strings, and everything
+//! [`cmp_scalar_dict`]), a single-column dictionary GROUP BY maps each code
+//! (not each row) to its group without hashing decoded strings, and everything
 //! else is **late-materialized**: non-predicate columns decode only the rows
 //! that survived the filter bitmap. The whole path is an executor-internal
 //! optimization — results are bit-for-bit those of the decoded path.
 
 use crate::db::VerticaDb;
 use crate::error::{DbError, Result};
-use crate::expr::{cmp_op, compare_values, literal_num, BinOp, Expr};
+use crate::expr::{cmp_op, literal_num, BinOp, Expr};
 use crate::segmentation::hash_value;
 use crate::sql::{AggFunc, Partition, SelectItem, SelectStmt, Statement};
 use crate::udx::UdxContext;
@@ -34,8 +35,12 @@ use vdr_columnar::{
     Batch, Bitmap, Column, ColumnBuilder, DataType, EncodedBatch, Field, ScanColumn, Schema, Value,
 };
 
+#[path = "exec_agg.rs"]
+mod agg;
 #[path = "exec_join.rs"]
 mod join;
+
+use agg::{AggPartial, AggTable};
 
 /// The node that runs final merges — where the client is connected.
 const INITIATOR: NodeId = NodeId(0);
@@ -235,15 +240,14 @@ fn execute_select(db: &VerticaDb, stmt: &SelectStmt, rec: &Arc<PhaseRecorder>) -
         select_span.record("table", table);
         let batch = db.monitor().materialize_cluster(sys, db, rec)?;
         let filtered = apply_where(stmt, &batch)?;
-        vec![Ok(node_result(stmt, &filtered)?)]
+        vec![NodeResult::of(stmt, &filtered)]
     } else if table.eq_ignore_ascii_case("r_models") {
         // The metadata table lives on the initiator.
         let models = db.models().as_batch();
         let filtered = apply_where(stmt, &models)?;
-        vec![Ok(node_result(stmt, &filtered)?)]
+        vec![NodeResult::of(stmt, &filtered)]
     } else {
-        let def = db.catalog().get(table)?;
-        let _ = def; // existence check; schema validated during evaluation
+        let schema = db.catalog().get(table)?.schema;
         select_span.record("table", table);
         // Planner: push the referenced-column set down to the scan so
         // unused column payloads are never decoded.
@@ -264,6 +268,7 @@ fn execute_select(db: &VerticaDb, stmt: &SelectStmt, rec: &Arc<PhaseRecorder>) -
                 return encoded_node_pipeline(
                     db,
                     stmt,
+                    &schema,
                     table,
                     node.id(),
                     rec,
@@ -276,26 +281,18 @@ fn execute_select(db: &VerticaDb, stmt: &SelectStmt, rec: &Arc<PhaseRecorder>) -
                     .scan_node_projected(table, node.id(), rec, false, wanted.as_ref())?;
             let mut rows_in = 0u64;
             let mut rows_out = 0u64;
-            let mut combined: Option<NodeResult> = None;
+            let mut result = NodeResult::new(stmt, &schema)?;
             for batch in batches {
                 rows_in += batch.num_rows() as u64;
                 let filtered = apply_where(stmt, &batch)?;
                 rows_out += filtered.num_rows() as u64;
-                let nr = node_result(stmt, &filtered)?;
-                combined = Some(match combined {
-                    None => nr,
-                    Some(acc) => acc.merge(nr)?,
-                });
+                result.push(stmt, &filtered)?;
             }
             scan_span.record("rows_in", rows_in);
             scan_span.record("rows_out", rows_out);
             vdr_obs::counter_on("exec.scan.rows", node.id().0, rows_in);
             vdr_obs::counter_on("exec.filter.rows", node.id().0, rows_out);
-            match combined {
-                Some(c) => Ok(c),
-                // Node holds no containers: contribute an empty result.
-                None => node_result(stmt, &empty_table_batch(db, table)?),
-            }
+            result.finish(stmt)
         })
     };
 
@@ -330,31 +327,40 @@ fn gather_and_finalize(
     per_node: Vec<Result<NodeResult>>,
     groupby_seg_aligned: bool,
 ) -> Result<Batch> {
-    let mut partials = Vec::with_capacity(per_node.len());
-    for r in per_node {
-        partials.push(r?);
-    }
+    let partials = per_node.into_iter().collect::<Result<Vec<_>>>()?;
     let partials = match maybe_shuffle_group_by(db, stmt, rec, partials, groupby_seg_aligned)? {
         GroupByMerge::Local(batch) => return order_limit_aggregate_output(stmt, batch),
         GroupByMerge::Gather(p) => p,
     };
 
     // Gather partial results to the initiator, charging the network.
+    // Aggregates travel in their partial-batch form.
     let mut gather_span = vdr_obs::span("exec.gather");
-    let mut gathered: Vec<NodeResult> = Vec::with_capacity(partials.len());
     let mut gather_bytes = 0u64;
     let mut merge_bytes = 0u64;
+    let mut rows: Vec<Batch> = Vec::new();
+    let mut aggs: Vec<AggPartial> = Vec::new();
+    let mut target: Option<AggTable> = None;
     for (i, nr) in partials.into_iter().enumerate() {
-        gather_bytes += nr.byte_size();
-        rec.net(NodeId(i), INITIATOR, nr.byte_size());
-        if i != INITIATOR.0
-            && !groupby_seg_aligned
-            && !stmt.group_by.is_empty()
-            && matches!(nr, NodeResult::Aggregated { .. })
-        {
-            merge_bytes += nr.byte_size();
-        }
-        gathered.push(nr);
+        let bytes = match nr {
+            NodeResult::Rows(b) => {
+                let bytes = b.byte_size();
+                rows.push(b);
+                bytes
+            }
+            NodeResult::Partial(t) => {
+                target.get_or_insert_with(|| t.empty_like());
+                let p = t.partial();
+                let bytes = p.byte_size();
+                if i != INITIATOR.0 && !groupby_seg_aligned && !stmt.group_by.is_empty() {
+                    merge_bytes += bytes;
+                }
+                aggs.push(p);
+                bytes
+            }
+        };
+        gather_bytes += bytes;
+        rec.net(NodeId(i), INITIATOR, bytes);
     }
     // Merging shipped GROUP BY partials whose key ranges overlap is the
     // initiator's CPU work — the serial bottleneck the shuffled two-phase
@@ -370,31 +376,30 @@ fn gather_and_finalize(
     gather_span.record("bytes", gather_bytes);
     vdr_obs::counter("exec.gather.bytes", gather_bytes);
     drop(gather_span);
-    let merged = gathered
-        .into_iter()
-        .reduce(|a, b| a.merge(b).expect("schemas identical across nodes"))
-        .ok_or_else(|| DbError::Exec("no nodes produced results".into()))?;
 
-    merged.finalize(stmt)
+    if let Some(mut table) = target {
+        for p in &aggs {
+            table.merge(p)?;
+        }
+        return order_limit_aggregate_output(stmt, table.finalize(stmt)?);
+    }
+    let mut rows = rows.into_iter();
+    let mut all = rows
+        .next()
+        .ok_or_else(|| DbError::Exec("no nodes produced results".into()))?;
+    for b in rows {
+        all.extend(&b)?;
+    }
+    let sorted = apply_order_by_hidden(stmt, all)?;
+    Ok(apply_offset_limit(stmt, sorted))
 }
 
 // ------------------------------------------------- shuffled two-phase GROUP BY
 
-/// Combine the per-value segmentation hashes of a group key into one routing
-/// hash (FNV-style fold, matching [`hash_value`]'s constants).
-fn group_key_hash(k: &GroupKey) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in &k.0 {
-        h ^= hash_value(v);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// How the GROUP BY partials reach their final form.
 enum GroupByMerge {
     /// The shuffle ran: every node finalized its disjoint key range locally
-    /// and the initiator already concatenated the finished row batches —
+    /// and the initiator already put the finished rows back in key order —
     /// only the global ORDER BY / OFFSET / LIMIT remain.
     Local(Batch),
     /// No shuffle: partials flow to the classic gather-and-merge path.
@@ -403,9 +408,10 @@ enum GroupByMerge {
 
 /// Repartition per-node GROUP BY partials by group-key hash so every node
 /// merges — and finalizes — a disjoint key range in parallel, instead of the
-/// initiator merging everything single-threaded. Because post-shuffle ranges
-/// are disjoint, each node ships one finished row per group back to the
-/// initiator rather than raw aggregate states (a COUNT(DISTINCT) set
+/// initiator merging everything single-threaded. Partials cross the wire as
+/// VCOL blocks (the JOIN shuffle's codec). Because post-shuffle ranges are
+/// disjoint, each node ships one finished row per group back to the
+/// initiator rather than aggregate states (a COUNT(DISTINCT) value set
 /// collapses to a single integer before it crosses the wire). Skipped when
 /// it cannot help: single node, partials that aren't grouped aggregates, a
 /// group key containing the segmentation key (already node-disjoint), or
@@ -423,26 +429,16 @@ fn maybe_shuffle_group_by(
         || seg_aligned
         || stmt.group_by.is_empty()
         || !group_by_shuffle()
-        || !partials
-            .iter()
-            .all(|p| matches!(p, NodeResult::Aggregated { .. }))
+        || !partials.iter().all(|p| matches!(p, NodeResult::Partial(_)))
     {
         return Ok(GroupByMerge::Gather(partials));
     }
-    // One slot per node: the scatter closure takes its node's partial map
-    // exactly once, so the Mutex<Option<…>> is just a Sync-safe hand-off.
-    type PartialSlot = std::sync::Mutex<Option<HashMap<GroupKey, Vec<AggState>>>>;
-    let mut num_aggs = 0usize;
-    let slots: Vec<PartialSlot> = partials
+    // One slot per node: the scatter closure takes its node's table exactly
+    // once, so the Mutex<Option<…>> is just a Sync-safe hand-off.
+    let slots: Vec<std::sync::Mutex<Option<AggTable>>> = partials
         .into_iter()
         .map(|p| match p {
-            NodeResult::Aggregated {
-                groups,
-                num_aggs: na,
-            } => {
-                num_aggs = na;
-                std::sync::Mutex::new(Some(groups))
-            }
+            NodeResult::Partial(t) => std::sync::Mutex::new(Some(t)),
             NodeResult::Rows(_) => unreachable!("checked above"),
         })
         .collect();
@@ -456,60 +452,50 @@ fn maybe_shuffle_group_by(
         |node| {
             let _q = vdr_obs::QueryScope::enter(query_id);
             let _ns = vdr_obs::NodeScope::enter(node.id().0);
-            let groups = slots[node.id().0]
+            let me = node.id().0;
+            let table = slots[me]
                 .lock()
                 .expect("slot")
                 .take()
                 .expect("each node's partial is taken once");
-            let mut parts: Vec<Vec<(GroupKey, Vec<AggState>)>> =
-                (0..n).map(|_| Vec::new()).collect();
-            for (k, s) in groups {
-                parts[(group_key_hash(&k) % n as u64) as usize].push((k, s));
-            }
+            let target = table.empty_like();
             // The partition addressed to this node never leaves it: it rides
-            // as the exchange's local carry, skipping ser/de through the
-            // loopback entirely.
-            let own = std::mem::take(&mut parts[node.id().0]);
+            // as the exchange's local carry, skipping the codec entirely.
+            let mut own = None;
             let mut sent = 0u64;
-            let frames: Vec<Vec<bytes::Bytes>> = parts
-                .iter()
-                .map(|p| {
-                    if p.is_empty() {
+            let frames: Vec<Vec<bytes::Bytes>> = table
+                .shuffle_parts(n)
+                .into_iter()
+                .enumerate()
+                .map(|(dst, part)| {
+                    if dst == me {
+                        own = Some(part);
                         return Vec::new();
                     }
-                    let f = serialize_group_partition(p, num_aggs);
-                    sent += f.len() as u64;
-                    vec![f]
+                    if part.groups.num_rows() == 0 {
+                        return Vec::new();
+                    }
+                    let f = part.encode();
+                    sent += f.iter().map(|b| b.len() as u64).sum::<u64>();
+                    f
                 })
                 .collect();
-            // Serializing partial states is byte-proportional CPU work.
+            // Encoding partial states is byte-proportional CPU work.
             if sent > 0 {
                 rec.cpu_work(node.id(), sent as f64 / 8.0, scan_cost);
             }
-            Ok((frames, own))
+            Ok((frames, (target, own.expect("one part per node"))))
         },
-        |node, own, recv| {
+        |node, (mut table, own), recv| {
             let _q = vdr_obs::QueryScope::enter(query_id);
             let _ns = vdr_obs::NodeScope::enter(node.id().0);
             let me = node.id().0;
-            let mut groups: HashMap<GroupKey, Vec<AggState>> = own.into_iter().collect();
+            table.merge(&own).map_err(as_io)?;
             let mut rows = 0u64;
-            for frames in &recv.frames {
-                for f in frames {
-                    for (k, states) in deserialize_group_partition(f).map_err(as_io)? {
-                        rows += 1;
-                        match groups.get_mut(&k) {
-                            Some(mine) => {
-                                for (m, o) in mine.iter_mut().zip(states) {
-                                    m.merge_owned(o);
-                                }
-                            }
-                            None => {
-                                groups.insert(k, states);
-                            }
-                        }
-                    }
-                }
+            for frames in recv.frames.iter().filter(|f| !f.is_empty()) {
+                let part = AggPartial::decode(frames).map_err(as_io)?;
+                rows += part.groups.num_rows() as u64;
+                table.merge(&part).map_err(as_io)?;
             }
             vdr_obs::counter_on("exchange.rows", me, rows);
             vdr_obs::counter_on("exchange.bytes", me, recv.bytes);
@@ -521,14 +507,15 @@ fn maybe_shuffle_group_by(
             // The key range is disjoint across nodes after the shuffle, so
             // this node's groups are final: materialize the output rows here
             // and ship those instead of the (much heavier) aggregate states.
-            finalize_aggregates(stmt, groups).map_err(as_io)
+            table.finalize(stmt).map_err(as_io)
         },
     )
     .map_err(DbError::from)?;
     vdr_obs::counter("exec.groupby.shuffled", 1);
 
     // Gather the finished row slices — one row per group, so a shuffled
-    // COUNT(DISTINCT) never ships its sets twice — and concatenate.
+    // COUNT(DISTINCT) never ships its values twice — and merge the
+    // key-sorted slices back into key order.
     let mut gather_span = vdr_obs::span("exec.gather");
     let mut gather_bytes = 0u64;
     for (i, b) in merged.iter().enumerate() {
@@ -538,242 +525,8 @@ fn maybe_shuffle_group_by(
     gather_span.record("bytes", gather_bytes);
     vdr_obs::counter("exec.gather.bytes", gather_bytes);
     drop(gather_span);
-    Ok(GroupByMerge::Local(concat_group_slices(merged)?))
-}
-
-/// Concatenate per-node finalized GROUP BY slices into one batch.
-///
-/// Each node inferred output dtypes from the first group of *its* slice, so
-/// a slice whose every value in some column is NULL (e.g. the NULL group key
-/// landed alone on one node) falls back to `Float64` while its peers carry
-/// the real dtype. Those all-NULL columns are retyped to the consensus
-/// schema before appending; empty slices are skipped outright.
-fn concat_group_slices(mut slices: Vec<Batch>) -> Result<Batch> {
-    if slices.iter().all(|b| b.num_rows() == 0) {
-        // No groups anywhere: every node produced the same empty fallback
-        // schema, so any one of them is the correct empty result.
-        return Ok(slices.swap_remove(0));
-    }
-    let mut nonempty: Vec<Batch> = slices.into_iter().filter(|b| b.num_rows() > 0).collect();
-    // Consensus dtype per column: the first slice holding a non-NULL value.
-    let mut fields: Vec<Field> = nonempty[0].schema().fields().to_vec();
-    for (ci, f) in fields.iter_mut().enumerate() {
-        if let Some(b) = nonempty
-            .iter()
-            .find(|b| (0..b.num_rows()).any(|r| !b.column(ci).get(r).is_null()))
-        {
-            f.dtype = b.schema().fields()[ci].dtype;
-        }
-    }
-    let schema = Schema::new(fields.clone());
-    let mut out = Batch::empty(schema.clone());
-    for b in nonempty.drain(..) {
-        if *b.schema() == schema {
-            out.extend(&b)?;
-        } else {
-            // Retype all-NULL columns to the consensus dtype row-by-row;
-            // only slices that hit the fallback take this path.
-            let mut builders: Vec<ColumnBuilder> =
-                fields.iter().map(|f| ColumnBuilder::new(f.dtype)).collect();
-            for row in 0..b.num_rows() {
-                for (ci, builder) in builders.iter_mut().enumerate() {
-                    builder.push(b.column(ci).get(row))?;
-                }
-            }
-            let cols: Vec<Column> = builders.into_iter().map(|bld| bld.finish()).collect();
-            out.extend(&Batch::new(schema.clone(), cols)?)?;
-        }
-    }
-    Ok(out)
-}
-
-/// Wire format for one shuffled partition of GROUP BY partials:
-/// `[num_groups u64][num_keys u64][num_aggs u64]` then per group its key
-/// values and aggregate states. Values serialize as a tag byte plus payload
-/// (the [`value_key`] shape, with explicit lengths for strings).
-fn serialize_group_partition(
-    groups: &[(GroupKey, Vec<AggState>)],
-    num_aggs: usize,
-) -> bytes::Bytes {
-    let num_keys = groups.first().map_or(0, |(k, _)| k.0.len());
-    let mut out = Vec::new();
-    out.extend_from_slice(&(groups.len() as u64).to_le_bytes());
-    out.extend_from_slice(&(num_keys as u64).to_le_bytes());
-    out.extend_from_slice(&(num_aggs as u64).to_le_bytes());
-    for (key, states) in groups {
-        debug_assert_eq!(key.0.len(), num_keys);
-        debug_assert_eq!(states.len(), num_aggs);
-        for v in &key.0 {
-            ser_value(&mut out, v);
-        }
-        for s in states {
-            s.serialize_into(&mut out);
-        }
-    }
-    bytes::Bytes::from(out)
-}
-
-fn deserialize_group_partition(buf: &[u8]) -> Result<Vec<(GroupKey, Vec<AggState>)>> {
-    let mut r = WireReader { buf, pos: 0 };
-    let num_groups = r.u64()? as usize;
-    let num_keys = r.u64()? as usize;
-    let num_aggs = r.u64()? as usize;
-    let mut out = Vec::with_capacity(num_groups);
-    for _ in 0..num_groups {
-        let mut key = Vec::with_capacity(num_keys);
-        for _ in 0..num_keys {
-            key.push(de_value(&mut r)?);
-        }
-        let mut states = Vec::with_capacity(num_aggs);
-        for _ in 0..num_aggs {
-            states.push(AggState::deserialize_from(&mut r)?);
-        }
-        out.push((GroupKey(key), states));
-    }
-    if r.pos != buf.len() {
-        return Err(DbError::Exec(format!(
-            "group partition frame has {} trailing bytes",
-            buf.len() - r.pos
-        )));
-    }
-    Ok(out)
-}
-
-/// Bounds-checked cursor over a received frame.
-struct WireReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl WireReader<'_> {
-    fn bytes(&mut self, n: usize) -> Result<&[u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(DbError::Exec("truncated group partition frame".into()));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().expect("8")))
-    }
-
-    fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-}
-
-fn ser_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Int64(x) => {
-            out.push(1);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::Float64(x) => {
-            out.push(2);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Value::Bool(b) => {
-            out.push(3);
-            out.push(*b as u8);
-        }
-        Value::Varchar(s) => {
-            out.push(4);
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-    }
-}
-
-fn de_value(r: &mut WireReader<'_>) -> Result<Value> {
-    Ok(match r.u8()? {
-        0 => Value::Null,
-        1 => Value::Int64(i64::from_le_bytes(r.bytes(8)?.try_into().expect("8"))),
-        2 => Value::Float64(r.f64()?),
-        3 => Value::Bool(r.u8()? != 0),
-        4 => {
-            let len = r.u32()? as usize;
-            let s = std::str::from_utf8(r.bytes(len)?)
-                .map_err(|_| DbError::Exec("non-UTF8 string in group partition".into()))?;
-            Value::Varchar(s.to_string())
-        }
-        t => {
-            return Err(DbError::Exec(format!(
-                "bad value tag {t} in group partition"
-            )))
-        }
-    })
-}
-
-impl AggState {
-    /// Append this state's wire form: the three fixed counters, a presence
-    /// flag byte, then min/max values and the distinct key set if carried.
-    fn serialize_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.rows.to_le_bytes());
-        out.extend_from_slice(&self.non_null.to_le_bytes());
-        out.extend_from_slice(&self.sum.to_bits().to_le_bytes());
-        let flags = u8::from(self.min.is_some())
-            | (u8::from(self.max.is_some()) << 1)
-            | (u8::from(self.distinct.is_some()) << 2);
-        out.push(flags);
-        if let Some(v) = &self.min {
-            ser_value(out, v);
-        }
-        if let Some(v) = &self.max {
-            ser_value(out, v);
-        }
-        if let Some(set) = &self.distinct {
-            out.extend_from_slice(&(set.len() as u64).to_le_bytes());
-            for k in set {
-                out.extend_from_slice(&(k.len() as u32).to_le_bytes());
-                out.extend_from_slice(k);
-            }
-        }
-    }
-
-    fn deserialize_from(r: &mut WireReader<'_>) -> Result<AggState> {
-        let rows = r.u64()?;
-        let non_null = r.u64()?;
-        let sum = r.f64()?;
-        let flags = r.u8()?;
-        let min = (flags & 1 != 0).then(|| de_value(r)).transpose()?;
-        let max = (flags & 2 != 0).then(|| de_value(r)).transpose()?;
-        let distinct = if flags & 4 != 0 {
-            let count = r.u64()? as usize;
-            // Entries were written in BTreeSet iteration order, so the
-            // sorted bulk-build path applies instead of n ordered inserts.
-            let mut entries = Vec::with_capacity(count);
-            for _ in 0..count {
-                let len = r.u32()? as usize;
-                entries.push(r.bytes(len)?.to_vec());
-            }
-            Some(entries.into_iter().collect())
-        } else {
-            None
-        };
-        Ok(AggState {
-            rows,
-            non_null,
-            sum,
-            min,
-            max,
-            distinct,
-        })
-    }
-}
-
-fn empty_table_batch(db: &VerticaDb, table: &str) -> Result<Batch> {
-    Ok(Batch::empty(db.catalog().get(table)?.schema))
+    let all = Batch::concat(merged[0].schema().clone(), &merged)?;
+    Ok(GroupByMerge::Local(agg::sort_by_group_keys(stmt, all)?))
 }
 
 /// Apply the WHERE clause, borrowing the input when nothing is filtered
@@ -889,10 +642,12 @@ struct EncodedScanStats {
 }
 
 /// Per-node compressed-execution pipeline: encoded scan → encoded predicate
-/// → dictionary GROUP BY or late materialization → partial result.
+/// → dictionary-code GROUP BY or late materialization → partial result.
+#[allow(clippy::too_many_arguments)]
 fn encoded_node_pipeline(
     db: &VerticaDb,
     stmt: &SelectStmt,
+    schema: &Schema,
     table: &str,
     node: NodeId,
     rec: &Arc<PhaseRecorder>,
@@ -906,7 +661,7 @@ fn encoded_node_pipeline(
     let mut stats = EncodedScanStats::default();
     let mut rows_in = 0u64;
     let mut rows_out = 0u64;
-    let mut combined: Option<NodeResult> = None;
+    let mut result = NodeResult::new(stmt, schema)?;
     for eb in batches {
         rows_in += eb.num_rows() as u64;
         let mask = match &stmt.where_clause {
@@ -914,11 +669,17 @@ fn encoded_node_pipeline(
             None => Bitmap::all_valid(eb.num_rows()),
         };
         rows_out += mask.count_set() as u64;
-        let nr = encoded_node_result(stmt, &eb, &mask, &mut stats)?;
-        combined = Some(match combined {
-            None => nr,
-            Some(acc) => acc.merge(nr)?,
-        });
+        match &mut result {
+            NodeResult::Partial(t) => t.update_encoded(&eb, &mask, &mut stats)?,
+            NodeResult::Rows(_) => {
+                let (batch, expanded) = eb.materialize(&mask, None)?;
+                stats.expanded_values += expanded;
+                if expanded > 0 {
+                    stats.late_materialized_rows += mask.count_set() as u64;
+                }
+                result.push(stmt, &batch)?;
+            }
+        }
     }
     // Expansion out of encoded form is the decode work this path deferred;
     // charge it at the same per-value scan cost the eager decoder pays.
@@ -945,32 +706,7 @@ fn encoded_node_pipeline(
             stats.late_materialized_rows,
         );
     }
-    match combined {
-        Some(c) => Ok(c),
-        None => node_result(stmt, &empty_table_batch(db, table)?),
-    }
-}
-
-/// Turn one filtered encoded batch into a partial result: the dictionary
-/// GROUP BY fast path when it applies, otherwise late materialization of the
-/// survivors followed by the ordinary per-node operators.
-fn encoded_node_result(
-    stmt: &SelectStmt,
-    eb: &EncodedBatch,
-    mask: &Bitmap,
-    stats: &mut EncodedScanStats,
-) -> Result<NodeResult> {
-    if stmt.has_aggregates() || !stmt.group_by.is_empty() {
-        if let Some(nr) = aggregate_partial_dict(stmt, eb, mask, stats)? {
-            return Ok(nr);
-        }
-    }
-    let (batch, expanded) = eb.materialize(mask, None)?;
-    stats.expanded_values += expanded;
-    if expanded > 0 {
-        stats.late_materialized_rows += mask.count_set() as u64;
-    }
-    node_result(stmt, &batch)
+    result.finish(stmt)
 }
 
 /// Evaluate a WHERE predicate against an encoded batch, producing the same
@@ -1057,167 +793,113 @@ fn decoded_predicate_leaf(e: &Expr, eb: &EncodedBatch) -> Result<Bitmap> {
     e.eval_predicate(&batch)
 }
 
-/// Dictionary-code GROUP BY: a single `GROUP BY col` over a
-/// dictionary-encoded column aggregates into a dense per-code table (slot =
-/// code, one extra slot for NULL) instead of hashing decoded strings. Only
-/// the aggregate-argument columns materialize, and only for mask survivors.
-/// Returns `Ok(None)` when the shape doesn't fit and the caller should late-
-/// materialize instead.
-fn aggregate_partial_dict(
-    stmt: &SelectStmt,
-    eb: &EncodedBatch,
-    mask: &Bitmap,
-    stats: &mut EncodedScanStats,
-) -> Result<Option<NodeResult>> {
-    let [Expr::Column(key_name)] = stmt.group_by.as_slice() else {
-        return Ok(None);
-    };
-    let Ok(ScanColumn::Encoded(key)) = eb.column_by_name(key_name) else {
-        return Ok(None);
-    };
-    let Some((dict, codes)) = key.dict() else {
-        return Ok(None);
-    };
-    let specs = agg_specs(stmt)?;
-    let mut arg_cols_set = HashSet::new();
-    for (_, arg, _) in &specs {
-        if let Some(a) = arg {
-            add_expr_columns(&mut arg_cols_set, a);
-        }
-    }
-    let (arg_batch, expanded) = eb.materialize(mask, Some(&arg_cols_set))?;
-    stats.expanded_values += expanded;
-    let arg_cols: Vec<Option<Column>> = specs
-        .iter()
-        .map(|(_, arg, _)| arg.as_ref().map(|e| e.eval(&arg_batch)).transpose())
-        .collect::<Result<_>>()?;
-    let validity = key.validity();
-    // Dense per-code accumulators; the last slot collects NULL keys.
-    let mut dense: Vec<Option<Vec<AggState>>> = vec![None; dict.len() + 1];
-    let mut dense_row = 0usize;
-    mask.for_each_set(|row| {
-        let slot = if validity.get(row) {
-            codes[row] as usize
-        } else {
-            dict.len()
-        };
-        let states = dense[slot].get_or_insert_with(|| {
-            specs
-                .iter()
-                .map(|(_, _, d)| AggState::for_spec(*d))
-                .collect()
-        });
-        for (s, col) in states.iter_mut().zip(&arg_cols) {
-            s.update(col.as_ref().map(|c| c.get(dense_row)).as_ref());
-        }
-        dense_row += 1;
-    });
-    // Re-key into the merge-compatible hash form; codes map back to their
-    // dictionary strings exactly as a decoded GROUP BY would produce them.
-    let mut groups: HashMap<GroupKey, Vec<AggState>> = HashMap::new();
-    for (slot, states) in dense.into_iter().enumerate() {
-        let Some(states) = states else { continue };
-        let key_val = if slot == dict.len() {
-            Value::Null
-        } else {
-            Value::Varchar(dict[slot].clone())
-        };
-        groups.insert(GroupKey(vec![key_val]), states);
-    }
-    Ok(Some(NodeResult::Aggregated {
-        groups,
-        num_aggs: specs.len(),
-    }))
-}
-
 // --------------------------------------------------- per-node partial state
 
-/// What a node contributes to the final answer: either projected rows (with
-/// hidden ORDER BY key columns appended) or partial aggregate states.
+/// What a node contributes to the final answer: projected rows (with hidden
+/// ORDER BY key columns appended, at most `offset + limit` of them under a
+/// LIMIT) or its partial aggregate.
 enum NodeResult {
     Rows(Batch),
-    Aggregated {
-        /// key → (group key values, per-aggregate partial state)
-        groups: HashMap<GroupKey, Vec<AggState>>,
-        num_aggs: usize,
-    },
+    Partial(AggTable),
 }
 
-fn node_result(stmt: &SelectStmt, batch: &Batch) -> Result<NodeResult> {
-    if stmt.has_aggregates() || !stmt.group_by.is_empty() {
-        aggregate_partial(stmt, batch)
-    } else {
-        Ok(NodeResult::Rows(project_rows_with_order_keys(stmt, batch)?))
-    }
+fn aggregating(stmt: &SelectStmt) -> bool {
+    stmt.has_aggregates() || !stmt.group_by.is_empty()
 }
 
 impl NodeResult {
-    fn byte_size(&self) -> u64 {
-        match self {
-            NodeResult::Rows(b) => b.byte_size(),
-            // Each group ships its key values plus per-aggregate state —
-            // a COUNT(DISTINCT) state carrying thousands of keys costs
-            // what it actually weighs on the wire.
-            NodeResult::Aggregated { groups, .. } => groups
-                .iter()
-                .map(|(key, states)| {
-                    key.0.iter().map(value_size).sum::<u64>()
-                        + states.iter().map(AggState::byte_size).sum::<u64>()
-                })
-                .sum(),
+    /// The contribution of a node that has seen no rows of `schema` yet.
+    fn new(stmt: &SelectStmt, schema: &Schema) -> Result<NodeResult> {
+        if aggregating(stmt) {
+            Ok(NodeResult::Partial(AggTable::new(stmt, schema)?))
+        } else {
+            let empty = Batch::empty(schema.clone());
+            Ok(NodeResult::Rows(project_rows_with_order_keys(
+                stmt, &empty,
+            )?))
         }
     }
 
-    fn merge(self, other: NodeResult) -> Result<NodeResult> {
-        match (self, other) {
-            (NodeResult::Rows(mut a), NodeResult::Rows(b)) => {
-                a.extend(&b)?;
-                Ok(NodeResult::Rows(a))
-            }
-            (
-                NodeResult::Aggregated {
-                    mut groups,
-                    num_aggs,
-                },
-                NodeResult::Aggregated { groups: og, .. },
-            ) => {
-                for (k, states) in og {
-                    match groups.get_mut(&k) {
-                        Some(mine) => {
-                            for (m, o) in mine.iter_mut().zip(states) {
-                                m.merge_owned(o);
-                            }
-                        }
-                        None => {
-                            groups.insert(k, states);
-                        }
+    /// The contribution of one whole input batch.
+    fn of(stmt: &SelectStmt, batch: &Batch) -> Result<NodeResult> {
+        let mut out = NodeResult::new(stmt, batch.schema())?;
+        out.push(stmt, batch)?;
+        out.finish(stmt)
+    }
+
+    /// Fold one filtered input batch in. Under a LIMIT only the first
+    /// `k = offset + limit` rows of the stable order can reach the answer:
+    /// once the buffer passes `2k` rows it is cut back to its first `k`, so
+    /// each row takes part in O(log k) amortized trimming work.
+    fn push(&mut self, stmt: &SelectStmt, batch: &Batch) -> Result<()> {
+        match self {
+            NodeResult::Partial(t) => t.update(batch),
+            NodeResult::Rows(rows) => {
+                let projected = project_rows_with_order_keys(stmt, batch)?;
+                if rows.is_empty() {
+                    *rows = projected;
+                } else {
+                    rows.extend(&projected)?;
+                }
+                if let Some(k) = rows_needed(stmt) {
+                    if rows.num_rows() > k.saturating_mul(2) {
+                        *rows = top_rows(stmt, rows, k)?;
                     }
                 }
-                Ok(NodeResult::Aggregated { groups, num_aggs })
+                Ok(())
             }
-            _ => Err(DbError::Exec("mixed partial result kinds".into())),
         }
     }
 
-    /// Build the final batch on the initiator: final aggregation or
-    /// sort/offset/limit of gathered rows.
-    fn finalize(self, stmt: &SelectStmt) -> Result<Batch> {
-        match self {
-            NodeResult::Rows(batch) => {
-                let sorted = apply_order_by_hidden(stmt, batch)?;
-                Ok(apply_offset_limit(stmt, sorted))
+    /// The node's contribution after its last batch: under a LIMIT, at most
+    /// its first `offset + limit` rows (a per-node top-N before the gather).
+    fn finish(self, stmt: &SelectStmt) -> Result<NodeResult> {
+        match (self, rows_needed(stmt)) {
+            (NodeResult::Rows(rows), Some(k)) if rows.num_rows() > k => {
+                Ok(NodeResult::Rows(top_rows(stmt, &rows, k)?))
             }
-            NodeResult::Aggregated { groups, .. } => {
-                let batch = finalize_aggregates(stmt, groups)?;
-                order_limit_aggregate_output(stmt, batch)
-            }
+            (out, _) => Ok(out),
         }
     }
+}
+
+/// How many leading rows of the ordered result a LIMIT can return.
+fn rows_needed(stmt: &SelectStmt) -> Option<usize> {
+    let limit = stmt.limit?;
+    let n = stmt.offset.unwrap_or(0).saturating_add(limit);
+    Some(usize::try_from(n).unwrap_or(usize::MAX))
+}
+
+/// The first `k` rows of `batch` in the statement's stable order (hidden
+/// ORDER BY key columns), or simply its first `k` rows without ORDER BY.
+fn top_rows(stmt: &SelectStmt, batch: &Batch, k: usize) -> Result<Batch> {
+    if stmt.order_by.is_empty() {
+        return Ok(batch.slice(0, k));
+    }
+    let keys = stmt
+        .order_by
+        .iter()
+        .enumerate()
+        .map(|(i, o)| Ok((batch.column_by_name(&format!("{HIDDEN}{i}"))?, o.desc)))
+        .collect::<Result<Vec<_>>>()?;
+    Ok(batch.take(&kernels::RowOrder::new(&keys, false).top(batch.num_rows(), k)))
 }
 
 /// ORDER BY (over aggregate output column names) plus OFFSET/LIMIT — the
 /// shared tail of the initiator-merge and shuffled local-finalization paths.
+/// Hidden group-key columns are dropped first.
 fn order_limit_aggregate_output(stmt: &SelectStmt, batch: Batch) -> Result<Batch> {
+    let visible: Vec<&str> = batch
+        .schema()
+        .names()
+        .into_iter()
+        .filter(|n| !n.starts_with(agg::GROUP_KEY))
+        .collect();
+    let batch = if visible.len() < batch.num_columns() {
+        batch.project(&visible)?
+    } else {
+        batch
+    };
     let sorted = if stmt.order_by.is_empty() {
         batch
     } else {
@@ -1323,44 +1005,18 @@ fn apply_order_by_hidden(stmt: &SelectStmt, batch: Batch) -> Result<Batch> {
 
 /// Stable sort of `batch` rows by the given key expressions.
 fn sort_by_exprs(batch: Batch, keys: &[(Expr, bool)]) -> Result<Batch> {
-    let mut key_cols = Vec::with_capacity(keys.len());
-    for (e, desc) in keys {
-        key_cols.push((e.eval(&batch)?, *desc));
-    }
-    let mut idx: Vec<usize> = (0..batch.num_rows()).collect();
-    let mut sort_err = None;
-    idx.sort_by(|&a, &b| {
-        for (col, desc) in &key_cols {
-            let va = col.get(a);
-            let vb = col.get(b);
-            // SQL: NULLs sort last regardless of direction.
-            let ord = match (va.is_null(), vb.is_null()) {
-                (true, true) => std::cmp::Ordering::Equal,
-                (true, false) => std::cmp::Ordering::Greater,
-                (false, true) => std::cmp::Ordering::Less,
-                (false, false) => match compare_values(&va, &vb) {
-                    Ok(o) => {
-                        if *desc {
-                            o.reverse()
-                        } else {
-                            o
-                        }
-                    }
-                    Err(e) => {
-                        sort_err.get_or_insert(e);
-                        std::cmp::Ordering::Equal
-                    }
-                },
-            };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-    if let Some(e) = sort_err {
-        return Err(e);
-    }
+    let cols = keys
+        .iter()
+        .map(|(e, _)| agg::eval_col(e, &batch))
+        .collect::<Result<Vec<_>>>()?;
+    let sort_keys: Vec<(&Column, bool)> = cols
+        .iter()
+        .zip(keys)
+        .map(|(c, (_, d))| (c.as_ref(), *d))
+        .collect();
+    let idx = kernels::RowOrder::new(&sort_keys, false).sorted(batch.num_rows());
+    drop(sort_keys);
+    drop(cols);
     Ok(batch.take(&idx))
 }
 
@@ -1375,200 +1031,6 @@ fn apply_offset_limit(stmt: &SelectStmt, batch: Batch) -> Batch {
 }
 
 // -------------------------------------------------------------- aggregation
-
-/// Group key: values compared with float-bit equality so NaN groups behave.
-#[derive(Debug, Clone)]
-struct GroupKey(Vec<Value>);
-
-impl PartialEq for GroupKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.len() == other.0.len()
-            && self.0.iter().zip(&other.0).all(|(a, b)| match (a, b) {
-                (Value::Float64(x), Value::Float64(y)) => x.to_bits() == y.to_bits(),
-                (a, b) => a == b,
-            })
-    }
-}
-
-impl Eq for GroupKey {}
-
-impl std::hash::Hash for GroupKey {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        for v in &self.0 {
-            state.write_u64(hash_value(v));
-        }
-    }
-}
-
-/// A partial aggregate: enough to compute COUNT/SUM/AVG/MIN/MAX after any
-/// number of merges.
-#[derive(Debug, Clone, Default)]
-struct AggState {
-    rows: u64,
-    non_null: u64,
-    sum: f64,
-    min: Option<Value>,
-    max: Option<Value>,
-    /// Canonical encodings of values seen, for `COUNT(DISTINCT e)`.
-    /// `None` when the aggregate isn't distinct (no memory overhead).
-    distinct: Option<std::collections::BTreeSet<Vec<u8>>>,
-}
-
-/// A canonical byte encoding for grouping/distinct purposes: type tag plus
-/// value bytes (floats by bit pattern so NaNs dedupe).
-fn value_key(v: &Value) -> Vec<u8> {
-    match v {
-        Value::Null => vec![0],
-        Value::Int64(x) => {
-            let mut out = vec![1];
-            out.extend_from_slice(&x.to_le_bytes());
-            out
-        }
-        Value::Float64(x) => {
-            let mut out = vec![2];
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-            out
-        }
-        Value::Bool(b) => vec![3, *b as u8],
-        Value::Varchar(s) => {
-            let mut out = vec![4];
-            out.extend_from_slice(s.as_bytes());
-            out
-        }
-    }
-}
-
-/// Serialized size of one [`Value`] in the gather wire accounting: a type
-/// tag plus the payload ([`value_key`]'s shape).
-fn value_size(v: &Value) -> u64 {
-    match v {
-        Value::Null => 1,
-        Value::Int64(_) | Value::Float64(_) => 9,
-        Value::Bool(_) => 2,
-        Value::Varchar(s) => 1 + s.len() as u64,
-    }
-}
-
-impl AggState {
-    /// Wire size of this partial state: the three fixed counters, the
-    /// min/max values if set, and every distinct key actually carried.
-    fn byte_size(&self) -> u64 {
-        let mut n = 24; // rows + non_null + sum
-        if let Some(v) = &self.min {
-            n += value_size(v);
-        }
-        if let Some(v) = &self.max {
-            n += value_size(v);
-        }
-        if let Some(set) = &self.distinct {
-            n += set.iter().map(|k| k.len() as u64).sum::<u64>();
-        }
-        n
-    }
-
-    fn for_spec(distinct: bool) -> AggState {
-        AggState {
-            distinct: distinct.then(std::collections::BTreeSet::new),
-            ..Default::default()
-        }
-    }
-
-    fn update(&mut self, v: Option<&Value>) {
-        self.rows += 1;
-        let Some(v) = v else { return };
-        if v.is_null() {
-            return;
-        }
-        self.non_null += 1;
-        if let Some(set) = &mut self.distinct {
-            set.insert(value_key(v));
-        }
-        if let Some(x) = v.as_f64() {
-            self.sum += x;
-        }
-        let better_min = match &self.min {
-            None => true,
-            Some(m) => compare_values(v, m).map(|o| o.is_lt()).unwrap_or(false),
-        };
-        if better_min {
-            self.min = Some(v.clone());
-        }
-        let better_max = match &self.max {
-            None => true,
-            Some(m) => compare_values(v, m).map(|o| o.is_gt()).unwrap_or(false),
-        };
-        if better_max {
-            self.max = Some(v.clone());
-        }
-    }
-
-    /// Merge a partial state we own: distinct keys and min/max values move
-    /// instead of cloning, which matters when shuffled COUNT(DISTINCT)
-    /// states carry large sets.
-    fn merge_owned(&mut self, mut other: AggState) {
-        self.rows += other.rows;
-        self.non_null += other.non_null;
-        self.sum += other.sum;
-        if let (Some(mine), Some(theirs)) = (&mut self.distinct, &mut other.distinct) {
-            if mine.len() < theirs.len() {
-                std::mem::swap(mine, theirs);
-            }
-            if theirs.len() >= 16 {
-                mine.append(theirs);
-            } else {
-                mine.extend(std::mem::take(theirs));
-            }
-        }
-        if let Some(om) = other.min {
-            let better = match &self.min {
-                None => true,
-                Some(m) => compare_values(&om, m).map(|o| o.is_lt()).unwrap_or(false),
-            };
-            if better {
-                self.min = Some(om);
-            }
-        }
-        if let Some(om) = other.max {
-            let better = match &self.max {
-                None => true,
-                Some(m) => compare_values(&om, m).map(|o| o.is_gt()).unwrap_or(false),
-            };
-            if better {
-                self.max = Some(om);
-            }
-        }
-    }
-
-    fn finalize(&self, func: AggFunc, counting_star: bool) -> Value {
-        match func {
-            AggFunc::Count => {
-                if let Some(set) = &self.distinct {
-                    Value::Int64(set.len() as i64)
-                } else if counting_star {
-                    Value::Int64(self.rows as i64)
-                } else {
-                    Value::Int64(self.non_null as i64)
-                }
-            }
-            AggFunc::Sum => {
-                if self.non_null == 0 {
-                    Value::Null
-                } else {
-                    Value::Float64(self.sum)
-                }
-            }
-            AggFunc::Avg => {
-                if self.non_null == 0 {
-                    Value::Null
-                } else {
-                    Value::Float64(self.sum / self.non_null as f64)
-                }
-            }
-            AggFunc::Min => self.min.clone().unwrap_or(Value::Null),
-            AggFunc::Max => self.max.clone().unwrap_or(Value::Null),
-        }
-    }
-}
 
 /// Validate the select list of an aggregating statement and collect the
 /// aggregate specs: every non-aggregate item must be a GROUP BY expression.
@@ -1596,152 +1058,6 @@ fn agg_specs(stmt: &SelectStmt) -> Result<Vec<(AggFunc, Option<Expr>, bool)>> {
         }
     }
     Ok(specs)
-}
-
-fn aggregate_partial(stmt: &SelectStmt, batch: &Batch) -> Result<NodeResult> {
-    let agg_specs = agg_specs(stmt)?;
-
-    let key_cols: Vec<Column> = stmt
-        .group_by
-        .iter()
-        .map(|e| e.eval(batch))
-        .collect::<Result<_>>()?;
-    let arg_cols: Vec<Option<Column>> = agg_specs
-        .iter()
-        .map(|(_, arg, _)| arg.as_ref().map(|e| e.eval(batch)).transpose())
-        .collect::<Result<_>>()?;
-
-    let mut groups: HashMap<GroupKey, Vec<AggState>> = HashMap::new();
-    for row in 0..batch.num_rows() {
-        let key = GroupKey(key_cols.iter().map(|c| c.get(row)).collect());
-        let states = groups.entry(key).or_insert_with(|| {
-            agg_specs
-                .iter()
-                .map(|(_, _, d)| AggState::for_spec(*d))
-                .collect()
-        });
-        for (s, col) in states.iter_mut().zip(&arg_cols) {
-            s.update(col.as_ref().map(|c| c.get(row)).as_ref());
-        }
-    }
-    // Global aggregation (no GROUP BY) over an empty input still yields one
-    // group so `SELECT count(*) FROM empty` returns 0.
-    if groups.is_empty() && stmt.group_by.is_empty() {
-        groups.insert(
-            GroupKey(vec![]),
-            agg_specs
-                .iter()
-                .map(|(_, _, d)| AggState::for_spec(*d))
-                .collect(),
-        );
-    }
-    Ok(NodeResult::Aggregated {
-        groups,
-        num_aggs: agg_specs.len(),
-    })
-}
-
-fn finalize_aggregates(
-    stmt: &SelectStmt,
-    groups: HashMap<GroupKey, Vec<AggState>>,
-) -> Result<Batch> {
-    // Deterministic output: sort groups by key.
-    let mut entries: Vec<(GroupKey, Vec<AggState>)> = groups.into_iter().collect();
-    entries.sort_by(|(a, _), (b, _)| {
-        for (x, y) in a.0.iter().zip(&b.0) {
-            let ord = match (x.is_null(), y.is_null()) {
-                (true, true) => std::cmp::Ordering::Equal,
-                (true, false) => std::cmp::Ordering::Greater,
-                (false, true) => std::cmp::Ordering::Less,
-                _ => compare_values(x, y).unwrap_or(std::cmp::Ordering::Equal),
-            };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-
-    // Output columns follow the select list order.
-    let mut builders: Vec<(String, ColumnBuilder)> = Vec::new();
-    for (i, item) in stmt.items.iter().enumerate() {
-        let name = item_name(i, item);
-        let dtype = match item {
-            SelectItem::Aggregate { func, .. } => match func {
-                AggFunc::Count => DataType::Int64,
-                AggFunc::Sum | AggFunc::Avg => DataType::Float64,
-                // MIN/MAX keep input type; infer from the first group later.
-                AggFunc::Min | AggFunc::Max => DataType::Float64,
-            },
-            _ => DataType::Float64,
-        };
-        builders.push((name, ColumnBuilder::new(dtype)));
-    }
-
-    // MIN/MAX and group keys need real types: rebuild builders by peeking at
-    // the first group's values.
-    if let Some((key, states)) = entries.first() {
-        let mut agg_idx = 0usize;
-        for (i, item) in stmt.items.iter().enumerate() {
-            let dtype = match item {
-                SelectItem::Aggregate { func, .. } => {
-                    let v = states[agg_idx].finalize(
-                        *func,
-                        matches!(item, SelectItem::Aggregate { arg: None, .. }),
-                    );
-                    agg_idx += 1;
-                    match (func, v.data_type()) {
-                        (AggFunc::Count, _) => DataType::Int64,
-                        (AggFunc::Sum | AggFunc::Avg, _) => DataType::Float64,
-                        (_, Some(dt)) => dt,
-                        (_, None) => DataType::Float64,
-                    }
-                }
-                SelectItem::Expr { expr, .. } => {
-                    let gi = stmt
-                        .group_by
-                        .iter()
-                        .position(|g| g == expr)
-                        .expect("validated in aggregate_partial");
-                    key.0[gi].data_type().unwrap_or(DataType::Float64)
-                }
-                _ => DataType::Float64,
-            };
-            builders[i] = (builders[i].0.clone(), ColumnBuilder::new(dtype));
-        }
-    }
-
-    for (key, states) in &entries {
-        let mut agg_idx = 0usize;
-        for (i, item) in stmt.items.iter().enumerate() {
-            let value = match item {
-                SelectItem::Aggregate { func, arg, .. } => {
-                    let v = states[agg_idx].finalize(*func, arg.is_none());
-                    agg_idx += 1;
-                    v
-                }
-                SelectItem::Expr { expr, .. } => {
-                    let gi = stmt
-                        .group_by
-                        .iter()
-                        .position(|g| g == expr)
-                        .expect("validated");
-                    key.0[gi].clone()
-                }
-                _ => unreachable!(),
-            };
-            builders[i].1.push(value)?;
-        }
-    }
-
-    let mut fields = Vec::new();
-    let mut columns = Vec::new();
-    for (name, b) in builders {
-        let col = b.finish();
-        fields.push(Field::new(name, col.data_type()));
-        columns.push(col);
-    }
-    Ok(Batch::new(Schema::new(fields), columns)?)
 }
 
 // --------------------------------------------------------------- transforms
@@ -2154,13 +1470,179 @@ mod tests {
         assert!(db.query("CREATE TABLE evens AS SELECT id FROM t").is_err());
     }
 
+    /// What the old row-at-a-time partial charged for one group: each key
+    /// value as a tag byte plus payload, and per aggregate 24 bytes of
+    /// counters, its MIN and MAX values once a non-NULL argument arrived
+    /// (every state tracked both), and each distinct value's tagged bytes.
+    fn old_group_bytes(key: &[Value], args: &[(Vec<Value>, bool)]) -> u64 {
+        fn size(v: &Value) -> u64 {
+            match v {
+                Value::Null => 1,
+                Value::Int64(_) | Value::Float64(_) => 9,
+                Value::Bool(_) => 2,
+                Value::Varchar(s) => 1 + s.len() as u64,
+            }
+        }
+        let mut n: u64 = key.iter().map(size).sum();
+        for (vals, distinct) in args {
+            n += 24;
+            let present: Vec<&Value> = vals.iter().filter(|v| !v.is_null()).collect();
+            let by_size = |want: std::cmp::Ordering| {
+                present
+                    .iter()
+                    .copied()
+                    .fold(None::<&Value>, |best, v| match best {
+                        Some(b) if crate::expr::compare_values(v, b).unwrap() != want => Some(b),
+                        _ => Some(v),
+                    })
+            };
+            for extreme in [
+                by_size(std::cmp::Ordering::Less),
+                by_size(std::cmp::Ordering::Greater),
+            ] {
+                n += extreme.map_or(0, size);
+            }
+            if *distinct {
+                let mut seen: Vec<&Value> = Vec::new();
+                for v in present {
+                    if !seen.contains(&v) {
+                        seen.push(v);
+                    }
+                }
+                n += seen.iter().map(|v| size(v)).sum::<u64>();
+            }
+        }
+        n
+    }
+
+    /// Old and new partial weights of `sql` over `batch`: (old, new, number
+    /// of distinct VARCHAR values carried).
+    fn partial_weights(sql: &str, batch: &Batch) -> (u64, u64, u64) {
+        let Statement::Select(stmt) = crate::sql::parse(sql).unwrap() else {
+            panic!("not a SELECT: {sql}");
+        };
+        let mut table = agg::AggTable::new(&stmt, batch.schema()).unwrap();
+        table.update(batch).unwrap();
+        let new = table.partial().byte_size();
+        let specs = agg_specs(&stmt).unwrap();
+        let key_of = |r: usize| -> Vec<Value> {
+            stmt.group_by
+                .iter()
+                .map(|g| g.eval(batch).unwrap().get(r))
+                .collect()
+        };
+        let mut groups: Vec<(Vec<Value>, Vec<usize>)> = Vec::new();
+        for r in 0..batch.num_rows() {
+            let key = key_of(r);
+            match groups.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, rows)) => rows.push(r),
+                None => groups.push((key, vec![r])),
+            }
+        }
+        let (mut old, mut strings) = (0u64, 0u64);
+        for (key, rows) in &groups {
+            let args: Vec<(Vec<Value>, bool)> = specs
+                .iter()
+                .map(|(_, arg, distinct)| {
+                    let vals = match arg {
+                        Some(a) => {
+                            let col = a.eval(batch).unwrap();
+                            rows.iter().map(|&r| col.get(r)).collect()
+                        }
+                        None => Vec::new(),
+                    };
+                    (vals, *distinct)
+                })
+                .collect();
+            for (vals, distinct) in &args {
+                if *distinct {
+                    let mut seen: Vec<&Value> = Vec::new();
+                    for v in vals.iter().filter(|v| matches!(v, Value::Varchar(_))) {
+                        if !seen.contains(&v) {
+                            seen.push(v);
+                        }
+                    }
+                    strings += seen.len() as u64;
+                }
+            }
+            old += old_group_bytes(key, &args);
+        }
+        (old, new, strings)
+    }
+
     #[test]
-    fn group_key_nan_equality() {
-        let a = GroupKey(vec![Value::Float64(f64::NAN)]);
-        let b = GroupKey(vec![Value::Float64(f64::NAN)]);
-        assert_eq!(a, b);
-        let c = GroupKey(vec![Value::Float64(0.0)]);
-        assert_ne!(a, c);
+    fn partial_batches_weigh_no_more_than_row_partials() {
+        let mut rows = Vec::new();
+        for i in 0..400i64 {
+            let k = if i % 13 == 0 {
+                Value::Null
+            } else {
+                Value::Int64(i % 17)
+            };
+            let tag = if i % 11 == 0 {
+                Value::Null
+            } else {
+                Value::Varchar(["alpha", "b", "", "delta"][(i % 4) as usize].into())
+            };
+            let x = if i % 7 == 0 {
+                Value::Null
+            } else {
+                Value::Float64((i % 9) as f64 - 2.5)
+            };
+            rows.push(vec![
+                k,
+                tag,
+                x,
+                Value::Int64(i % 23),
+                Value::Bool(i % 3 == 0),
+            ]);
+        }
+        let schema = Schema::of(&[
+            ("k", DataType::Int64),
+            ("tag", DataType::Varchar),
+            ("x", DataType::Float64),
+            ("n", DataType::Int64),
+            ("flag", DataType::Bool),
+        ]);
+        let batch = Batch::from_rows(schema, &rows).unwrap();
+        for sql in [
+            "SELECT k, count(*), sum(x), avg(x), min(x), max(tag), count(DISTINCT n) FROM t GROUP BY k",
+            "SELECT tag, count(x), min(n), max(n), count(DISTINCT x) FROM t GROUP BY tag",
+            "SELECT k, tag, max(x), min(flag) FROM t GROUP BY k, tag",
+            "SELECT count(*), sum(x), count(DISTINCT flag) FROM t",
+            "SELECT tag, flag, count(*) FROM t GROUP BY tag, flag",
+        ] {
+            let (old, new, strings) = partial_weights(sql, &batch);
+            assert_eq!(strings, 0);
+            assert!(new <= old, "{sql}: partial batch {new} B > row partials {old} B");
+        }
+        // A COUNT(DISTINCT) over VARCHAR carries each string with the
+        // column's 4-byte length instead of the old 1-byte tag: a group can
+        // outweigh its row partial by at most 3 bytes per distinct string,
+        // plus a validity bit.
+        let sql = "SELECT k, count(DISTINCT tag) FROM t GROUP BY k";
+        let (old, new, strings) = partial_weights(sql, &batch);
+        assert!(strings > 0);
+        assert!(
+            new <= old + 3 * strings + strings.div_ceil(8),
+            "{sql}: {new} B vs {old} B"
+        );
+    }
+
+    #[test]
+    fn group_table_keys_compare_by_bit_pattern() {
+        let mut t = agg::GroupTable::new(&[DataType::Float64]);
+        let mut b = vdr_columnar::ColumnBuilder::new(DataType::Float64);
+        for v in [f64::NAN, 0.0, f64::NAN, -0.0, 0.0] {
+            b.push(Value::Float64(v)).unwrap();
+        }
+        b.push_null();
+        b.push_null();
+        let col = b.finish();
+        // NaN groups with NaN, -0.0 apart from 0.0, NULL with NULL.
+        assert_eq!(t.intern(&[&col], 7).unwrap(), vec![0, 1, 0, 2, 1, 3, 3]);
+        assert_eq!(t.len(), 4);
+        assert!(t.intern(&[&Column::from_i64(vec![1])], 1).is_err());
     }
 
     // --------------------------------------------- compressed execution
@@ -2213,6 +1695,8 @@ mod tests {
             "SELECT count(*) FROM lc WHERE 2 <= grp OR tag <> 'a'",
             // Dictionary GROUP BY (dense per-code path) with NULL keys.
             "SELECT tag, count(*) AS n, avg(x), min(id), max(id) FROM lc GROUP BY tag ORDER BY tag",
+            // Dictionary GROUP BY whose argument reads no column.
+            "SELECT tag, sum(1), count(*) FROM lc GROUP BY tag ORDER BY tag",
             // Filtered dictionary GROUP BY with a distinct aggregate.
             "SELECT tag, count(DISTINCT grp) FROM lc WHERE id < 500 GROUP BY tag ORDER BY tag",
             // NULL-heavy predicate: NULL grp rows must drop in both paths.

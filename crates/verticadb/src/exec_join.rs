@@ -658,10 +658,10 @@ fn concat_parts(parts: Vec<Batch>) -> Result<Batch> {
 /// [`Segmentation::Hash`] applies at load time, so a shuffled side lands
 /// co-resident with a hash-segmented one.
 fn partition_batch(batch: &Batch, key: &str, n: usize) -> Result<Vec<Batch>> {
-    let col = batch.column_by_name(key)?;
+    let hashes = crate::segmentation::hash_column(batch.column_by_name(key)?);
     let mut idx: Vec<Vec<usize>> = (0..n).map(|_| Vec::new()).collect();
-    for i in 0..batch.num_rows() {
-        idx[(hash_value(&col.get(i)) % n as u64) as usize].push(i);
+    for (i, h) in hashes.into_iter().enumerate() {
+        idx[(h % n as u64) as usize].push(i);
     }
     Ok(idx.iter().map(|ix| batch.take(ix)).collect())
 }
@@ -696,12 +696,15 @@ fn join_and_partial(
     span.record("rows_out", li.len());
     let joined = materialize_join(plan, left, right, &li, &ri)?;
     let filtered = apply_where(inner, &joined)?;
-    node_result(inner, &filtered)
+    NodeResult::of(inner, &filtered)
 }
 
-/// The rayon-parallel partitioned build+probe kernel. Returns matched row
-/// index pairs in left-row order (`right = None` marks a LEFT JOIN row with
-/// no match). NULL keys never match.
+/// The build+probe kernel: the right side's keys intern into the aggregate
+/// operator's typed [`agg::GroupTable`] (one group per distinct key, its
+/// rows listed in ascending order), then rayon-parallel probe chunks look
+/// left keys up and concatenate in order. Returns matched row index pairs
+/// in left-row order (`right = None` marks a LEFT JOIN row with no match).
+/// NULL keys never match.
 fn hash_join_indices(
     kind: JoinKind,
     left: &Batch,
@@ -711,29 +714,15 @@ fn hash_join_indices(
 ) -> Result<(Vec<usize>, Vec<Option<usize>>)> {
     let lk = left.column_by_name(left_key)?;
     let rk = right.column_by_name(right_key)?;
-    // Partitioned build: P sub-tables built concurrently, each owning the
-    // keys whose hash lands in its stripe.
-    const P: usize = 16;
-    let rhash: Vec<Option<u64>> = (0..right.num_rows())
-        .map(|i| {
-            let v = rk.get(i);
-            (!v.is_null()).then(|| hash_value(&v))
-        })
-        .collect();
-    let tables: Vec<HashMap<Vec<u8>, Vec<usize>>> = (0..P)
-        .into_par_iter()
-        .map(|p| {
-            let mut m: HashMap<Vec<u8>, Vec<usize>> = HashMap::new();
-            for (i, h) in rhash.iter().enumerate() {
-                if let Some(h) = h {
-                    if (h % P as u64) as usize == p {
-                        m.entry(value_key(&rk.get(i))).or_default().push(i);
-                    }
-                }
-            }
-            m
-        })
-        .collect();
+    // Build: NULL keys are left out, so they can never be found.
+    let valid = rk.validity();
+    let build_rows: Vec<usize> = (0..rk.len()).filter(|&i| valid.get(i)).collect();
+    let build_keys = rk.take(&build_rows);
+    let mut table = agg::GroupTable::new(&[rk.data_type()]);
+    let gids = table.intern(&[&build_keys], build_rows.len())?;
+    // Build rows per key, ascending: `rows[starts[g]..starts[g + 1]]`.
+    let (starts, order) = agg::rows_by_group(gids.iter().map(|&g| g as usize), table.len());
+    let rows: Vec<usize> = order.into_iter().map(|i| build_rows[i]).collect();
     // Chunked probe: chunks run in parallel and concatenate in order, so the
     // output is deterministic regardless of thread count.
     const CHUNK: usize = 8192;
@@ -741,17 +730,16 @@ fn hash_join_indices(
     let chunks: Vec<Vec<(usize, Option<usize>)>> = (0..nrows.div_ceil(CHUNK))
         .into_par_iter()
         .map(|c| {
+            let lo = c * CHUNK;
+            let hits = table.lookup(&[lk], lo..((c + 1) * CHUNK).min(nrows));
             let mut out = Vec::new();
-            for i in c * CHUNK..((c + 1) * CHUNK).min(nrows) {
-                let v = lk.get(i);
-                let hit = if v.is_null() {
-                    None
-                } else {
-                    let h = hash_value(&v);
-                    tables[(h % P as u64) as usize].get(&value_key(&v))
-                };
+            for (i, hit) in (lo..).zip(hits) {
                 match hit {
-                    Some(rows) => out.extend(rows.iter().map(|&r| (i, Some(r)))),
+                    Some(g) => out.extend(
+                        rows[starts[g as usize]..starts[g as usize + 1]]
+                            .iter()
+                            .map(|&r| (i, Some(r))),
+                    ),
                     None => {
                         if kind == JoinKind::Left {
                             out.push((i, None));
@@ -774,8 +762,8 @@ fn hash_join_indices(
 }
 
 /// Materialize the joined batch in the output namespace: left columns gather
-/// by `take`, right columns gather by take when every row matched (INNER) or
-/// through a null-injecting builder otherwise (LEFT outer rows).
+/// by `take`, right columns by `take_opt` (a `None` index is the NULL row of
+/// an unmatched LEFT JOIN row).
 fn materialize_join(
     plan: &JoinPlan,
     left: &Batch,
@@ -785,31 +773,13 @@ fn materialize_join(
 ) -> Result<Batch> {
     let mut fields = Vec::new();
     let mut columns = Vec::new();
-    let ltaken = left.take(li);
-    for (f, col) in ltaken.schema().fields().iter().zip(ltaken.columns()) {
+    for (f, col) in left.schema().fields().iter().zip(left.columns()) {
         fields.push(Field::new(plan.out_name(Side::Left, &f.name), f.dtype));
-        columns.push(col.clone());
+        columns.push(col.take(li));
     }
-    if ri.iter().all(Option::is_some) {
-        let ridx: Vec<usize> = ri.iter().map(|r| r.expect("all matched")).collect();
-        let rtaken = right.take(&ridx);
-        for (f, col) in rtaken.schema().fields().iter().zip(rtaken.columns()) {
-            fields.push(Field::new(plan.out_name(Side::Right, &f.name), f.dtype));
-            columns.push(col.clone());
-        }
-    } else {
-        for (fi, f) in right.schema().fields().iter().enumerate() {
-            let src = &right.columns()[fi];
-            let mut b = ColumnBuilder::new(f.dtype);
-            for r in ri {
-                match r {
-                    Some(r) => b.push(src.get(*r))?,
-                    None => b.push(Value::Null)?,
-                }
-            }
-            fields.push(Field::new(plan.out_name(Side::Right, &f.name), f.dtype));
-            columns.push(b.finish());
-        }
+    for (f, col) in right.schema().fields().iter().zip(right.columns()) {
+        fields.push(Field::new(plan.out_name(Side::Right, &f.name), f.dtype));
+        columns.push(col.take_opt(ri));
     }
     Ok(Batch::new(Schema::new(fields), columns)?)
 }

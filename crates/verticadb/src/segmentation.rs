@@ -8,7 +8,7 @@
 
 use crate::error::{DbError, Result};
 
-use vdr_columnar::{Batch, Value};
+use vdr_columnar::{Batch, Column, Value};
 
 /// A segmentation scheme.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,9 +35,8 @@ impl Segmentation {
         let mut routes: Vec<Vec<usize>> = vec![Vec::new(); num_nodes];
         match self {
             Segmentation::Hash { column } => {
-                let col = batch.column_by_name(column)?;
-                for i in 0..n {
-                    let h = hash_value(&col.get(i));
+                let hashes = hash_column(batch.column_by_name(column)?);
+                for (i, h) in hashes.into_iter().enumerate() {
                     routes[(h % num_nodes as u64) as usize].push(i);
                 }
             }
@@ -93,36 +92,49 @@ impl Segmentation {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// FNV-1a: a type tag byte, then the payload bytes.
+#[inline]
+fn fnv(tag: u8, payload: &[u8]) -> u64 {
+    let mut h = (FNV_OFFSET ^ tag as u64).wrapping_mul(FNV_PRIME);
+    for &b in payload {
+        h ^= b as u64;
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
 /// Deterministic 64-bit hash of a value (FNV-1a over a canonical byte form).
 /// Independent of Rust's `Hash` so the routing is stable across releases —
 /// it is part of the storage layout.
 pub fn hash_value(v: &Value) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
     match v {
-        Value::Null => eat(&[0]),
-        Value::Int64(x) => {
-            eat(&[1]);
-            eat(&x.to_le_bytes());
-        }
-        Value::Float64(x) => {
-            eat(&[2]);
-            eat(&x.to_bits().to_le_bytes());
-        }
-        Value::Bool(b) => eat(&[3, *b as u8]),
-        Value::Varchar(s) => {
-            eat(&[4]);
-            eat(s.as_bytes());
-        }
+        Value::Null => fnv(0, &[]),
+        Value::Int64(x) => fnv(1, &x.to_le_bytes()),
+        Value::Float64(x) => fnv(2, &x.to_bits().to_le_bytes()),
+        Value::Bool(b) => fnv(3, &[*b as u8]),
+        Value::Varchar(s) => fnv(4, s.as_bytes()),
     }
-    h
+}
+
+/// [`hash_value`] of every row of `col`, read from the typed data without
+/// boxing a [`Value`] per row.
+pub fn hash_column(col: &Column) -> Vec<u64> {
+    let valid = col.validity();
+    let null = fnv(0, &[]);
+    let hash_rows = |f: &dyn Fn(usize) -> u64| -> Vec<u64> {
+        (0..col.len())
+            .map(|i| if valid.get(i) { f(i) } else { null })
+            .collect()
+    };
+    match col {
+        Column::Int64 { data, .. } => hash_rows(&|i| fnv(1, &data[i].to_le_bytes())),
+        Column::Float64 { data, .. } => hash_rows(&|i| fnv(2, &data[i].to_bits().to_le_bytes())),
+        Column::Bool { data, .. } => hash_rows(&|i| fnv(3, &[data[i] as u8])),
+        Column::Varchar { data, .. } => hash_rows(&|i| fnv(4, data[i].as_bytes())),
+    }
 }
 
 #[cfg(test)]
@@ -226,6 +238,23 @@ mod tests {
             hash_value(&Value::Varchar("ab".into()))
         );
         assert_ne!(hash_value(&Value::Null), hash_value(&Value::Bool(false)));
+    }
+
+    #[test]
+    fn column_hash_matches_value_hash_row_for_row() {
+        let cols = [
+            Column::from_i64(vec![0, -7, i64::MAX]),
+            Column::from_f64(vec![0.0, -0.0, f64::NAN]),
+            Column::from_bool(vec![true, false]),
+            Column::from_strings(vec!["", "ab", "alpha"]),
+            Column::from_value(&Value::Null, 2),
+        ];
+        for col in &cols {
+            let hashes = hash_column(col);
+            for (i, h) in hashes.iter().enumerate() {
+                assert_eq!(*h, hash_value(&col.get(i)), "{col:?} row {i}");
+            }
+        }
     }
 
     #[test]
