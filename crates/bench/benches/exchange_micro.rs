@@ -1,6 +1,6 @@
 //! Exchange-path micro-benchmarks: distributed hash JOIN with co-located
 //! vs shuffled inputs, and high-cardinality GROUP BY whose final merge is
-//! either shuffled across the cluster or serialized on the initiator.
+//! shuffled across the cluster.
 //!
 //! Uses only the public SQL surface so the identical file can be timed
 //! against older commits for A/B comparisons (see BENCH_exchange.json).
@@ -190,15 +190,10 @@ fn bench(c: &mut Criterion) {
     });
 
     // Modeled cluster time for the same GROUP BY statements: the ledger
-    // charges per-node CPU and network and takes the max over nodes, which
-    // is what separates "every partial group funnels through the
-    // initiator's CPU and NIC" from "each node merges its 1/N key range" —
-    // a distinction single-machine wall clock cannot express when the
-    // harness host serializes the node threads anyway. Both strategies are
-    // flipped through `VDR_GROUP_BY_SHUFFLE` so the A/B runs inside one
-    // build with symmetric merge charging (pre-exchange builds ignore the
-    // variable and report the initiator number for both arms). Same format
-    // as the criterion lines, in modeled milliseconds.
+    // charges per-node CPU and network and takes the max over nodes, so
+    // each node merging its 1/N key range in parallel shows here even when
+    // the harness host serializes the node threads. Same format as the
+    // criterion lines, in modeled milliseconds.
     for (name, q, rows) in [
         (
             "sim_groupby_highcard_200k",
@@ -211,20 +206,16 @@ fn bench(c: &mut Criterion) {
             GB_KEYS,
         ),
     ] {
-        for (arm, flag) in [("initiator", "0"), ("shuffled", "1")] {
-            std::env::set_var("VDR_GROUP_BY_SHUFFLE", flag);
-            let mut times = Vec::new();
-            for _ in 0..5 {
-                let out = db.query(q).unwrap();
-                assert_eq!(out.batch.num_rows(), rows);
-                times.push(out.sim_time.as_secs() * 1e3);
-            }
-            let min = times.iter().cloned().fold(f64::MAX, f64::min);
-            let mean = times.iter().sum::<f64>() / times.len() as f64;
-            let label = format!("{name}_{arm}");
-            println!("bench {label:<40} min {min:.6}ms  mean {mean:.6}ms");
+        let mut times = Vec::new();
+        for _ in 0..5 {
+            let out = db.query(q).unwrap();
+            assert_eq!(out.batch.num_rows(), rows);
+            times.push(out.sim_time.as_secs() * 1e3);
         }
-        std::env::remove_var("VDR_GROUP_BY_SHUFFLE");
+        let min = times.iter().cloned().fold(f64::MAX, f64::min);
+        let mean = times.iter().sum::<f64>() / times.len() as f64;
+        let label = format!("{name}_shuffled");
+        println!("bench {label:<40} min {min:.6}ms  mean {mean:.6}ms");
     }
 }
 

@@ -1,4 +1,4 @@
-//! Scan-path figure — projection pushdown and the decoded-block cache.
+//! Scan-path figure — projection pushdown and the block cache.
 //!
 //! Not a paper figure: the paper treats the scan as a black box feeding
 //! the prediction operators. This report makes the overhauled scan path
@@ -57,7 +57,7 @@ pub fn scan_path() -> FigureReport {
 
     let mut r = FigureReport::new(
         "scan",
-        "Scan path: projection pushdown + decoded-block cache (not a paper figure)",
+        "Scan path: projection pushdown + block cache (not a paper figure)",
     );
     r.header(&[
         "pass",
@@ -104,7 +104,7 @@ pub fn scan_path() -> FigureReport {
     r.note(format!(
         "{ROWS} rows x {} cols on {NODES} nodes; the query references 1 column, so the cold pass \
          skips {FLOAT_COLS} per-node column decodes and the warm pass is served entirely from the \
-         decoded-block cache",
+         block cache",
         FLOAT_COLS + 1
     ));
     r.note(

@@ -7,7 +7,7 @@
 //! * **VFT wire batches** — `ExportToDistributedR` streams blocks to the
 //!   Distributed R workers' receive pools.
 //!
-//! Version 2 layout (current writer):
+//! Layout (version 2, the only version):
 //! ```text
 //! magic  "VCOL"            4 bytes
 //! version u8               1 byte  (2)
@@ -22,9 +22,7 @@
 //!
 //! The offset index is what makes **projection pushdown** cheap: a scan that
 //! wants `k` of `m` columns seeks straight to the `k` entries it needs and
-//! never touches the other payloads ([`decode_batch_columns`]). Version 1
-//! blocks (no index) are still readable — the per-column `payload-len`
-//! lets the decoder skip unwanted payloads sequentially.
+//! never touches the other payloads ([`decode_batch_encoded`]).
 
 use crate::batch::Batch;
 use crate::checksum::crc32;
@@ -38,7 +36,6 @@ use bytes::Bytes;
 use std::collections::HashSet;
 
 const MAGIC: &[u8; 4] = b"VCOL";
-const VERSION_V1: u8 = 1;
 const VERSION_V2: u8 = 2;
 
 fn dtype_to_u8(dt: DataType) -> u8 {
@@ -60,7 +57,7 @@ fn dtype_from_u8(v: u8) -> Result<DataType> {
     }
 }
 
-/// What a [`decode_batch_columns`] call actually did — drives the cost
+/// What a [`decode_batch_encoded`] call actually did — drives the cost
 /// ledger (charge only decoded values) and the `exec.scan.cols_skipped`
 /// observability counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,8 +66,7 @@ pub struct DecodeStats {
     pub cols_total: usize,
     /// Columns actually decoded to plain form.
     pub cols_decoded: usize,
-    /// Columns kept in encoded (run/code) form for compressed execution —
-    /// always 0 on the [`decode_batch_columns`] path.
+    /// Columns kept in encoded (run/code) form for compressed execution.
     pub cols_kept_encoded: usize,
     /// Rows in the block.
     pub rows: usize,
@@ -98,33 +94,16 @@ pub fn encode_batch(batch: &Batch) -> Bytes {
 /// Serialize a batch forcing one encoding for every column (used by the
 /// encoding ablation bench). `None` selects per-column heuristics.
 pub fn encode_batch_with(batch: &Batch, force: Option<Encoding>) -> Bytes {
-    encode_batch_version(batch, force, VERSION_V2)
-}
-
-/// Serialize in the legacy v1 layout (no column offset index). Kept so the
-/// backward-compatibility tests can manufacture old-format containers; the
-/// engine itself always writes v2.
-pub fn encode_batch_v1(batch: &Batch) -> Bytes {
-    encode_batch_version(batch, None, VERSION_V1)
-}
-
-/// Legacy v1 layout with a forced per-column encoding (property tests use
-/// this to cover every `Encoding` variant in both block versions).
-pub fn encode_batch_v1_with(batch: &Batch, force: Option<Encoding>) -> Bytes {
-    encode_batch_version(batch, force, VERSION_V1)
-}
-
-fn encode_batch_version(batch: &Batch, force: Option<Encoding>, version: u8) -> Bytes {
     let ncols = batch.num_columns();
     // Single-buffer encode: header, index, and every column entry are written
     // straight into `out`; the per-column offsets, payload lengths, and the
     // body crc are back-patched once their values are known. No intermediate
     // per-entry or whole-body buffers — the only copy is the encode itself.
     const HEADER_LEN: usize = 9; // magic + version + crc32
-    let index_len = if version >= VERSION_V2 { ncols * 8 } else { 0 };
+    let index_len = ncols * 8;
     let mut out = Vec::with_capacity(HEADER_LEN + 10 + index_len);
     out.extend_from_slice(MAGIC);
-    out.push(version);
+    out.push(VERSION_V2);
     out.extend_from_slice(&[0u8; 4]); // crc placeholder, patched last
     out.extend_from_slice(&(batch.num_rows() as u64).to_le_bytes());
     out.extend_from_slice(&(ncols as u16).to_le_bytes());
@@ -140,11 +119,8 @@ fn encode_batch_version(batch: &Batch, force: Option<Encoding>, version: u8) -> 
         .zip(batch.columns())
         .enumerate()
     {
-        if version >= VERSION_V2 {
-            let entry_offset = (out.len() - HEADER_LEN) as u64;
-            out[index_pos + c * 8..index_pos + c * 8 + 8]
-                .copy_from_slice(&entry_offset.to_le_bytes());
-        }
+        let entry_offset = (out.len() - HEADER_LEN) as u64;
+        out[index_pos + c * 8..index_pos + c * 8 + 8].copy_from_slice(&entry_offset.to_le_bytes());
         write_uvarint(field.name.len() as u64, &mut out);
         out.extend_from_slice(field.name.as_bytes());
         out.push(dtype_to_u8(field.dtype));
@@ -181,7 +157,18 @@ fn encode_batch_version(batch: &Batch, force: Option<Encoding>, version: u8) -> 
 /// Deserialize a block back into a batch (all columns), verifying magic,
 /// version, and checksum.
 pub fn decode_batch(bytes: &[u8]) -> Result<Batch> {
-    decode_batch_columns(bytes, None).map(|(batch, _)| batch)
+    let raw = parse_block(bytes)?;
+    let mut fields = Vec::with_capacity(raw.entries.len());
+    let mut columns: Vec<Column> = Vec::with_capacity(raw.entries.len());
+    for e in &raw.entries {
+        let payload = &raw.body[e.payload_start..e.payload_end];
+        let mut ppos = 0usize;
+        let col = encoding::decode_column(e.dtype, e.enc, raw.rows, payload, &mut ppos)?;
+        check_payload_consumed(&e.name, payload, ppos)?;
+        fields.push(Field::new(e.name.clone(), e.dtype));
+        columns.push(col);
+    }
+    Batch::new(Schema::new(fields), columns)
 }
 
 /// The crc32 a block header carries over its body, without decoding it.
@@ -193,56 +180,19 @@ pub fn block_checksum(bytes: &[u8]) -> Result<u32> {
     Ok(u32::from_le_bytes(bytes[5..9].try_into().expect("4 bytes")))
 }
 
-/// Deserialize only the named columns of a block (projection pushdown);
-/// `None` decodes everything. Column names match case-insensitively, like
-/// [`Schema::index_of`]. Unwanted column payloads are skipped via the v2
-/// offset index (or the per-column payload length in v1 blocks) and never
-/// decoded. Decoded columns keep the block's column order.
+/// Deserialize the named columns of a block (projection pushdown; `None`
+/// decodes everything) for compressed execution. The columns come back as an
+/// [`EncodedBatch`] where Rle and Dictionary payloads stay in run/code form
+/// ([`ScanColumn::Encoded`]) and Plain/DeltaVarint payloads decode eagerly
+/// ([`ScanColumn::Decoded`]). That per-column split *is* the
+/// encoded-vs-decoded decision rule — it keys off the encoding the block
+/// writer already chose. Column names match case-insensitively, like
+/// [`Schema::index_of`]; unwanted payloads are skipped via the offset index
+/// and never read; columns keep the block's column order.
 ///
 /// If the wanted set would select zero columns, the smallest-payload column
-/// is decoded anyway so the batch still carries the block's row count
+/// is produced anyway so the batch still carries the block's row count
 /// (`SELECT count(*)` needs rows, not values).
-pub fn decode_batch_columns(
-    bytes: &[u8],
-    wanted: Option<&HashSet<String>>,
-) -> Result<(Batch, DecodeStats)> {
-    let raw = parse_block(bytes)?;
-    let selected = select_entries(&raw.entries, wanted);
-    let mut fields = Vec::new();
-    let mut columns: Vec<Column> = Vec::new();
-    for (e, keep) in raw.entries.iter().zip(&selected) {
-        if !keep {
-            continue;
-        }
-        let payload = &raw.body[e.payload_start..e.payload_end];
-        let mut ppos = 0usize;
-        let col = encoding::decode_column(e.dtype, e.enc, raw.rows, payload, &mut ppos)?;
-        check_payload_consumed(&e.name, payload, ppos)?;
-        fields.push(Field::new(e.name.clone(), e.dtype));
-        columns.push(col);
-    }
-    let cols_decoded = columns.len();
-    let batch = Batch::new(Schema::new(fields), columns)?;
-    Ok((
-        batch,
-        DecodeStats {
-            cols_total: raw.entries.len(),
-            cols_decoded,
-            cols_kept_encoded: 0,
-            rows: raw.rows,
-        },
-    ))
-}
-
-/// Deserialize a block for compressed execution: the named columns are
-/// produced as an [`EncodedBatch`] where Rle and Dictionary payloads stay in
-/// run/code form ([`ScanColumn::Encoded`]) and Plain/DeltaVarint payloads
-/// decode eagerly ([`ScanColumn::Decoded`]). That per-column split *is* the
-/// encoded-vs-decoded decision rule — it keys off the encoding the block
-/// writer already chose, so low-cardinality and sorted columns ride the
-/// encoded path and everything else behaves exactly like
-/// [`decode_batch_columns`]. Selection semantics (case-insensitive match,
-/// cheapest-column fallback for empty selections) are identical.
 pub fn decode_batch_encoded(
     bytes: &[u8],
     wanted: Option<&HashSet<String>>,
@@ -339,7 +289,7 @@ fn parse_block(bytes: &[u8]) -> Result<RawBlock<'_>> {
         return Err(ColumnarError::BadBlockHeader("bad magic".into()));
     }
     let version = bytes[4];
-    if version != VERSION_V1 && version != VERSION_V2 {
+    if version != VERSION_V2 {
         return Err(ColumnarError::BadBlockHeader(format!(
             "unsupported version {version}"
         )));
@@ -355,29 +305,20 @@ fn parse_block(bytes: &[u8]) -> Result<RawBlock<'_>> {
     let rows = read_u64_le(body, &mut pos)? as usize;
     let ncols = read_u16_le(body, &mut pos)? as usize;
 
-    // Column entry offsets: read from the v2 index, or discovered by the
-    // sequential walk below for v1.
-    let index: Option<Vec<u64>> = if version >= VERSION_V2 {
-        let mut offsets = Vec::with_capacity(ncols);
-        for _ in 0..ncols {
-            offsets.push(read_u64_le(body, &mut pos)?);
-        }
-        Some(offsets)
-    } else {
-        None
-    };
+    let mut index = Vec::with_capacity(ncols);
+    for _ in 0..ncols {
+        index.push(read_u64_le(body, &mut pos)?);
+    }
 
     let mut entries = Vec::with_capacity(ncols);
-    for c in 0..ncols {
-        if let Some(idx) = &index {
-            let off = idx[c] as usize;
-            if off < pos || off > body.len() {
-                return Err(ColumnarError::Corrupt(format!(
-                    "column {c} index offset {off} out of range"
-                )));
-            }
-            pos = off;
+    for (c, off) in index.into_iter().enumerate() {
+        let off = off as usize;
+        if off < pos || off > body.len() {
+            return Err(ColumnarError::Corrupt(format!(
+                "column {c} index offset {off} out of range"
+            )));
         }
+        pos = off;
         let name_len = read_uvarint(body, &mut pos)? as usize;
         let name_end = pos
             .checked_add(name_len)
@@ -516,48 +457,44 @@ mod tests {
     }
 
     #[test]
-    fn v1_blocks_still_decode() {
-        let batch = sample_batch();
-        let bytes = encode_batch_v1(&batch);
-        assert_eq!(bytes[4], VERSION_V1);
-        let back = decode_batch(&bytes).unwrap();
-        assert_eq!(back, batch);
-        // Projection works on v1 too, via sequential payload skipping.
-        let (narrow, stats) = decode_batch_columns(&bytes, Some(&set(&["x"]))).unwrap();
-        assert_eq!(narrow.schema().names(), vec!["x"]);
-        assert_eq!(stats.cols_skipped(), 3);
-    }
-
-    #[test]
     fn projection_decodes_only_wanted_columns() {
         let batch = sample_batch();
         let bytes = encode_batch(&batch);
-        let (narrow, stats) = decode_batch_columns(&bytes, Some(&set(&["tag", "id"]))).unwrap();
+        let (narrow, stats) = decode_batch_encoded(&bytes, Some(&set(&["tag", "id"]))).unwrap();
         // Block column order is preserved, not selection order.
         assert_eq!(narrow.schema().names(), vec!["id", "tag"]);
         assert_eq!(narrow.num_rows(), 100);
+        let (narrow, _) = narrow
+            .materialize(&crate::Bitmap::all_valid(100), None)
+            .unwrap();
         assert_eq!(
             narrow.column_by_name("tag").unwrap().get(7),
             batch.row(7)[3]
         );
         assert_eq!(stats.cols_total, 4);
-        assert_eq!(stats.cols_decoded, 2);
-        assert_eq!(stats.values_decoded(), 200);
+        // `id` decodes eagerly; the dictionary `tag` stays encoded.
+        assert_eq!(stats.cols_decoded, 1);
+        assert_eq!(stats.cols_kept_encoded, 1);
+        assert_eq!(stats.values_decoded(), 100);
     }
 
     #[test]
     fn projection_matches_case_insensitively() {
         let bytes = encode_batch(&sample_batch());
-        let (narrow, _) = decode_batch_columns(&bytes, Some(&set(&["ID", "Tag"]))).unwrap();
+        let (narrow, _) = decode_batch_encoded(&bytes, Some(&set(&["ID", "Tag"]))).unwrap();
         assert_eq!(narrow.schema().names(), vec!["id", "tag"]);
     }
 
     #[test]
     fn empty_projection_keeps_row_count() {
         let bytes = encode_batch(&sample_batch());
-        let (b, stats) = decode_batch_columns(&bytes, Some(&set(&["nope"]))).unwrap();
+        let (b, stats) = decode_batch_encoded(&bytes, Some(&set(&["nope"]))).unwrap();
         assert_eq!(b.num_rows(), 100);
-        assert_eq!(stats.cols_decoded, 1, "cheapest column stands in for rows");
+        assert_eq!(
+            stats.cols_decoded + stats.cols_kept_encoded,
+            1,
+            "cheapest column stands in for rows"
+        );
     }
 
     #[test]
@@ -602,12 +539,20 @@ mod tests {
             decode_batch(&bad),
             Err(ColumnarError::BadBlockHeader(_))
         ));
-        let mut bad = bytes.to_vec();
-        bad[4] = 99;
-        assert!(matches!(
-            decode_batch(&bad),
-            Err(ColumnarError::BadBlockHeader(_))
-        ));
+        // Version 1 (no column offset index) is no longer read; neither is
+        // any other version but 2.
+        for version in [1, 99] {
+            let mut bad = bytes.to_vec();
+            bad[4] = version;
+            assert!(matches!(
+                decode_batch(&bad),
+                Err(ColumnarError::BadBlockHeader(_))
+            ));
+            assert!(matches!(
+                decode_batch_encoded(&bad, None),
+                Err(ColumnarError::BadBlockHeader(_))
+            ));
+        }
         assert!(decode_batch(&[1, 2]).is_err());
     }
 
@@ -642,14 +587,11 @@ mod tests {
         assert_eq!(stats.cols_kept_encoded, 1);
         assert_eq!(stats.cols_decoded, 3);
         assert_eq!(stats.cols_skipped(), 0);
-        assert!(matches!(
-            eb.column_by_name("tag").unwrap(),
-            crate::ScanColumn::Encoded(_)
-        ));
+        assert!(eb.encoded_column("tag").is_some());
         // Full materialization equals the plain decode.
         let mask = crate::Bitmap::all_valid(100);
         let (full, _) = eb.materialize(&mask, None).unwrap();
-        assert_eq!(full, batch);
+        assert_eq!(*full, batch);
 
         // A constant int column comes back as an RLE ScanColumn.
         let schema = Schema::of(&[("k", DataType::Int64)]);
@@ -662,11 +604,11 @@ mod tests {
     }
 
     #[test]
-    fn encoded_decode_projects_and_reads_v1() {
+    fn encoded_decode_projects() {
         let batch = sample_batch();
         for bytes in [
             encode_batch(&batch),
-            encode_batch_v1_with(&batch, Some(Encoding::Rle)),
+            encode_batch_with(&batch, Some(Encoding::Rle)),
         ] {
             let (eb, stats) = decode_batch_encoded(&bytes, Some(&set(&["TAG"]))).unwrap();
             assert_eq!(eb.schema().names(), vec!["tag"]);

@@ -1,8 +1,8 @@
 //! Encoded column representations that survive block read into the executor.
 //!
-//! [`crate::decode_batch_columns`] flattens every payload to a plain
-//! [`Column`] before any kernel sees it. For Rle and Dictionary payloads that
-//! throws away exactly the structure compressed execution wants:
+//! [`crate::decode_batch`] flattens every payload to a plain [`Column`]
+//! before any kernel sees it. For Rle and Dictionary payloads that throws
+//! away exactly the structure compressed execution wants:
 //!
 //! * an RLE run lets a predicate be evaluated **once per run** instead of
 //!   once per row ([`crate::kernels::cmp_scalar_rle`]),
@@ -15,14 +15,17 @@
 //! [`EncodedColumn`] holds the parsed run/code form (not raw payload bytes),
 //! so every downstream pass is branch-light; [`EncodedBatch`] is the scan
 //! product: a mix of [`ScanColumn::Encoded`] and [`ScanColumn::Decoded`]
-//! columns chosen per column by [`crate::decode_batch_encoded`].
+//! columns chosen per column by [`crate::decode_batch_encoded`], and the only
+//! form in which a table segment reaches the executor.
 
+use crate::batch::Batch;
 use crate::bitmap::Bitmap;
 use crate::column::Column;
 use crate::encoding::{read_i64_le, read_string, read_uvarint, unzigzag, Encoding};
 use crate::error::{ColumnarError, Result};
 use crate::schema::Schema;
 use crate::value::DataType;
+use std::borrow::Cow;
 use std::collections::HashSet;
 
 /// The run/code form of an encoded payload.
@@ -180,7 +183,7 @@ impl EncodedColumn {
         }
     }
 
-    /// The encoded in-memory footprint — what an encoded cache tier charges.
+    /// The encoded in-memory footprint — what the block cache charges.
     pub fn byte_size(&self) -> u64 {
         let validity = self.rows.div_ceil(8) as u64;
         let values = match &self.values {
@@ -337,24 +340,21 @@ impl ScanColumn {
             ScanColumn::Encoded(e) => e.data_type(),
         }
     }
-
-    /// In-memory footprint at whatever form the column is held in.
-    pub fn byte_size(&self) -> u64 {
-        match self {
-            ScanColumn::Decoded(c) => c.byte_size(),
-            ScanColumn::Encoded(e) => e.byte_size(),
-        }
-    }
 }
 
-/// The product of an encoded scan: per-column encoded-or-decoded data plus
-/// the schema. Mirrors [`crate::Batch`] closely enough that the executor can
-/// filter, late-materialize, or hand columns to encoded kernels.
+/// The product of a scan: the eagerly decoded columns as a plain [`Batch`]
+/// and the rest in run/code form, under one schema. The executor hands
+/// encoded columns to encoded kernels and late-materializes the rows it
+/// keeps; when nothing needs expanding it reads the plain batch in place.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EncodedBatch {
+    /// Every column, in block order.
     schema: Schema,
     rows: usize,
-    cols: Vec<ScanColumn>,
+    /// The [`ScanColumn::Decoded`] columns, in block order.
+    plain: Batch,
+    /// The [`ScanColumn::Encoded`] columns, each with its index in `schema`.
+    encoded: Vec<(usize, EncodedColumn)>,
 }
 
 impl EncodedBatch {
@@ -365,7 +365,10 @@ impl EncodedBatch {
                 found: cols.len(),
             });
         }
-        for (f, c) in schema.fields().iter().zip(&cols) {
+        let mut plain_fields = Vec::new();
+        let mut plain_cols = Vec::new();
+        let mut encoded = Vec::new();
+        for (i, (f, c)) in schema.fields().iter().zip(cols).enumerate() {
             if c.len() != rows {
                 return Err(ColumnarError::LengthMismatch {
                     expected: rows,
@@ -378,8 +381,21 @@ impl EncodedBatch {
                     found: c.data_type(),
                 });
             }
+            match c {
+                ScanColumn::Decoded(col) => {
+                    plain_fields.push(f.clone());
+                    plain_cols.push(col);
+                }
+                ScanColumn::Encoded(e) => encoded.push((i, e)),
+            }
         }
-        Ok(EncodedBatch { schema, rows, cols })
+        let plain = Batch::new(Schema::new(plain_fields), plain_cols)?;
+        Ok(EncodedBatch {
+            schema,
+            rows,
+            plain,
+            encoded,
+        })
     }
 
     pub fn schema(&self) -> &Schema {
@@ -391,66 +407,63 @@ impl EncodedBatch {
     }
 
     pub fn num_columns(&self) -> usize {
-        self.cols.len()
+        self.schema.len()
     }
 
-    pub fn columns(&self) -> &[ScanColumn] {
-        &self.cols
-    }
-
-    /// Column lookup by name (case-insensitive, like [`Schema::index_of`]).
-    pub fn column_by_name(&self, name: &str) -> Result<&ScanColumn> {
-        let idx = self.schema.index_of(name)?;
-        Ok(&self.cols[idx])
+    /// The named column (case-insensitive, like [`Schema::index_of`]) if the
+    /// scan kept it in encoded form; `None` for a decoded or absent column.
+    pub fn encoded_column(&self, name: &str) -> Option<&EncodedColumn> {
+        let idx = self.schema.index_of(name).ok()?;
+        self.encoded.iter().find(|(i, _)| *i == idx).map(|(_, e)| e)
     }
 
     /// Number of columns held in encoded form.
     pub fn num_encoded(&self) -> usize {
-        self.cols
-            .iter()
-            .filter(|c| matches!(c, ScanColumn::Encoded(_)))
-            .count()
+        self.encoded.len()
     }
 
     /// In-memory footprint with encoded columns at encoded size — what the
-    /// encoded cache tier charges.
+    /// block cache charges.
     pub fn byte_size(&self) -> u64 {
-        self.cols.iter().map(|c| c.byte_size()).sum()
+        self.plain.byte_size() + self.encoded.iter().map(|(_, e)| e.byte_size()).sum::<u64>()
     }
 
-    /// Materialize a plain [`Batch`] of the rows selected by `mask`,
-    /// restricted to `subset` columns when given (names matched
-    /// case-insensitively). Returns the batch plus the number of values that
-    /// had to be expanded out of *encoded* columns — the late-materialization
-    /// work the cost ledger charges (already-decoded columns just gather).
+    /// A plain [`Batch`] of the rows selected by `mask`, restricted to
+    /// `subset` columns when given (names matched case-insensitively).
+    /// Returns the batch plus the number of values that had to be expanded
+    /// out of *encoded* columns — the late-materialization work the cost
+    /// ledger charges (already-decoded columns just gather).
+    ///
+    /// When every row is selected and no encoded column is wanted, the
+    /// decoded columns are borrowed as they are, with no copy; that batch
+    /// may then hold decoded columns outside `subset`.
     pub fn materialize(
         &self,
         mask: &Bitmap,
         subset: Option<&HashSet<String>>,
-    ) -> Result<(crate::Batch, u64)> {
+    ) -> Result<(Cow<'_, Batch>, u64)> {
         assert_eq!(mask.len(), self.rows, "materialize mask length mismatch");
         let keep = |name: &str| match subset {
             None => true,
             Some(set) => set.iter().any(|w| w.eq_ignore_ascii_case(name)),
         };
-        let selected = mask.count_set();
         let all = mask.all_set();
+        let wants_encoded = self
+            .encoded
+            .iter()
+            .any(|(i, _)| keep(&self.schema.field(*i).name));
+        if all && !wants_encoded && self.plain.num_columns() > 0 {
+            return Ok((Cow::Borrowed(&self.plain), 0));
+        }
+        let selected = mask.count_set();
         let mut fields = Vec::new();
         let mut columns = Vec::new();
         let mut encoded_values = 0u64;
-        for (f, c) in self.schema.fields().iter().zip(&self.cols) {
-            if !keep(&f.name) {
-                continue;
-            }
-            let col = match c {
-                ScanColumn::Decoded(col) => {
-                    if all {
-                        col.clone()
-                    } else {
-                        col.filter(mask)?
-                    }
-                }
-                ScanColumn::Encoded(e) => {
+        let mut plain = self.plain.columns().iter();
+        let mut encoded = self.encoded.iter().peekable();
+        for (i, f) in self.schema.fields().iter().enumerate() {
+            let col = match encoded.next_if(|(at, _)| *at == i) {
+                Some((_, e)) if keep(&f.name) => {
                     encoded_values += selected as u64;
                     if all {
                         e.decode()
@@ -458,12 +471,24 @@ impl EncodedBatch {
                         e.filter(mask)
                     }
                 }
+                Some(_) => continue,
+                None => {
+                    let col = plain.next().expect("one plain column per decoded field");
+                    if !keep(&f.name) {
+                        continue;
+                    }
+                    if all {
+                        col.clone()
+                    } else {
+                        col.filter(mask)?
+                    }
+                }
             };
             fields.push(crate::Field::new(f.name.clone(), f.dtype));
             columns.push(col);
         }
-        let batch = crate::Batch::new(Schema::new(fields), columns)?;
-        Ok((batch, encoded_values))
+        let batch = Batch::new(Schema::new(fields), columns)?;
+        Ok((Cow::Owned(batch), encoded_values))
     }
 }
 
@@ -643,6 +668,13 @@ mod tests {
         assert_eq!(narrow.column(0).get(1), Value::Int64(4));
         let (full, enc_vals) = eb.materialize(&mask, None).unwrap();
         assert_eq!(enc_vals, 2, "two surviving rows expanded from the dict");
+        // Every row of decoded columns only: read in place, no copy.
+        let (whole, enc_vals) = eb
+            .materialize(&Bitmap::all_valid(4), Some(&subset))
+            .unwrap();
+        assert!(matches!(whole, Cow::Borrowed(_)));
+        assert_eq!(enc_vals, 0);
+        assert_eq!(whole.column_by_name("x").unwrap(), &x);
         assert_eq!(
             full.column_by_name("g").unwrap().get(0),
             Value::Varchar("a".into())

@@ -14,7 +14,7 @@
 //! * [`block`] — the checksummed binary format used both for on-disk
 //!   segment containers and for Vertica Fast Transfer's wire batches, with
 //!   a per-column offset index enabling projection pushdown
-//!   ([`block::decode_batch_columns`]),
+//!   ([`block::decode_batch_encoded`]),
 //! * [`kernels`] — vectorized comparison/arithmetic kernels over typed
 //!   slices and validity bitmaps, feeding `Bitmap` selection masks,
 //! * [`encoded`] — compressed execution: [`EncodedColumn`]/[`EncodedBatch`]
@@ -37,9 +37,8 @@ pub mod value;
 pub use batch::Batch;
 pub use bitmap::Bitmap;
 pub use block::{
-    block_checksum, block_column_info, decode_batch, decode_batch_columns, decode_batch_encoded,
-    encode_batch, encode_batch_v1, encode_batch_v1_with, encode_batch_with, BlockColumnInfo,
-    DecodeStats,
+    block_checksum, block_column_info, decode_batch, decode_batch_encoded, encode_batch,
+    encode_batch_with, BlockColumnInfo, DecodeStats,
 };
 pub use column::{Column, ColumnBuilder};
 pub use encoded::{EncodedBatch, EncodedColumn, EncodedValues, ScanColumn};

@@ -6,10 +6,18 @@ use std::collections::HashSet;
 use vdr_columnar::encoding::{decode_column, encode_column, Encoding};
 use vdr_columnar::kernels::{cmp_scalar, cmp_scalar_dict, cmp_scalar_rle, CmpOp};
 use vdr_columnar::{
-    decode_batch, decode_batch_columns, encode_batch, encode_batch_v1, encode_batch_v1_with,
-    encode_batch_with, Batch, Bitmap, Column, ColumnBuilder, DataType, EncodedColumn, Schema,
-    Value,
+    decode_batch, decode_batch_encoded, encode_batch, encode_batch_with, Batch, Bitmap, Column,
+    ColumnBuilder, DataType, DecodeStats, EncodedColumn, Schema, Value,
 };
+
+/// The `wanted` columns of a block as a plain batch, with the decode stats.
+fn decode_projected(bytes: &[u8], wanted: &HashSet<String>) -> (Batch, DecodeStats) {
+    let (eb, stats) = decode_batch_encoded(bytes, Some(wanted)).unwrap();
+    let (batch, _) = eb
+        .materialize(&Bitmap::all_valid(eb.num_rows()), None)
+        .unwrap();
+    (batch.into_owned(), stats)
+}
 
 const ALL_CMP_OPS: [CmpOp; 6] = [
     CmpOp::Eq,
@@ -186,30 +194,28 @@ proptest! {
             .map(|(name, _)| name.to_string())
             .collect();
         let force = force_plain.then_some(Encoding::Plain);
-        let blocks = [encode_batch_with(&batch, force), encode_batch_v1(&batch)];
-        for bytes in &blocks {
-            let full = decode_batch(bytes).unwrap();
-            let (projected, stats) = decode_batch_columns(bytes, Some(&wanted)).unwrap();
-            prop_assert_eq!(stats.cols_total, 3);
-            prop_assert_eq!(stats.rows, n);
-            // Projection must keep the row count.
-            prop_assert_eq!(projected.num_rows(), n);
-            if wanted.is_empty() {
-                // Degenerate projection (SELECT count(*)): one cheap
-                // column survives to carry the row count.
-                prop_assert_eq!(projected.num_columns(), 1);
-                prop_assert_eq!(stats.cols_decoded, 1);
-                continue;
-            }
-            prop_assert_eq!(stats.cols_decoded, wanted.len());
-            let names: Vec<&str> = projected.schema().names();
-            prop_assert_eq!(names.len(), wanted.len());
-            for name in names {
-                prop_assert!(wanted.contains(name));
-                let full_col = full.column(full.schema().index_of(name).unwrap());
-                let proj_col = projected.column(projected.schema().index_of(name).unwrap());
-                prop_assert!(columns_equivalent(full_col, proj_col));
-            }
+        let bytes = encode_batch_with(&batch, force);
+        let full = decode_batch(&bytes).unwrap();
+        let (projected, stats) = decode_projected(&bytes, &wanted);
+        prop_assert_eq!(stats.cols_total, 3);
+        prop_assert_eq!(stats.rows, n);
+        // Projection must keep the row count.
+        prop_assert_eq!(projected.num_rows(), n);
+        if wanted.is_empty() {
+            // Degenerate projection (SELECT count(*)): one cheap
+            // column survives to carry the row count.
+            prop_assert_eq!(projected.num_columns(), 1);
+            prop_assert_eq!(stats.cols_decoded + stats.cols_kept_encoded, 1);
+            return Ok(());
+        }
+        prop_assert_eq!(stats.cols_decoded + stats.cols_kept_encoded, wanted.len());
+        let names: Vec<&str> = projected.schema().names();
+        prop_assert_eq!(names.len(), wanted.len());
+        for name in names {
+            prop_assert!(wanted.contains(name));
+            let full_col = full.column(full.schema().index_of(name).unwrap());
+            let proj_col = projected.column(projected.schema().index_of(name).unwrap());
+            prop_assert!(columns_equivalent(full_col, proj_col));
         }
     }
 
@@ -241,16 +247,15 @@ proptest! {
         let batch = Batch::new(schema, vec![ib.finish(), tb.finish()]).unwrap();
         let wanted: HashSet<String> =
             [if keep_ints { "v" } else { "t" }.to_string()].into_iter().collect();
-        for bytes in &[encode_batch(&batch), encode_batch_v1(&batch)] {
-            let full = decode_batch(bytes).unwrap();
-            let (projected, stats) = decode_batch_columns(bytes, Some(&wanted)).unwrap();
-            prop_assert_eq!(stats.cols_decoded, 1);
-            prop_assert_eq!(stats.cols_skipped(), 1);
-            prop_assert_eq!(projected.num_rows(), n);
-            let name = if keep_ints { "v" } else { "t" };
-            let full_col = full.column(full.schema().index_of(name).unwrap());
-            prop_assert!(columns_equivalent(full_col, projected.column(0)));
-        }
+        let bytes = encode_batch(&batch);
+        let full = decode_batch(&bytes).unwrap();
+        let (projected, stats) = decode_projected(&bytes, &wanted);
+        prop_assert_eq!(stats.cols_decoded + stats.cols_kept_encoded, 1);
+        prop_assert_eq!(stats.cols_skipped(), 1);
+        prop_assert_eq!(projected.num_rows(), n);
+        let name = if keep_ints { "v" } else { "t" };
+        let full_col = full.column(full.schema().index_of(name).unwrap());
+        prop_assert!(columns_equivalent(full_col, projected.column(0)));
     }
 
     /// Compressed-execution kernels are optimizations, never semantic
@@ -419,18 +424,14 @@ proptest! {
             Encoding::Dictionary,
             Encoding::DeltaVarint,
         ] {
-            for bytes in [
-                encode_batch_with(&batch, Some(enc)),
-                encode_batch_v1_with(&batch, Some(enc)),
-            ] {
-                let back = decode_batch(&bytes).unwrap();
-                prop_assert_eq!(back.num_rows(), n);
-                for c in 0..batch.num_columns() {
-                    prop_assert!(
-                        columns_equivalent(batch.column(c), back.column(c)),
-                        "enc {:?} col {}", enc, c
-                    );
-                }
+            let bytes = encode_batch_with(&batch, Some(enc));
+            let back = decode_batch(&bytes).unwrap();
+            prop_assert_eq!(back.num_rows(), n);
+            for c in 0..batch.num_columns() {
+                prop_assert!(
+                    columns_equivalent(batch.column(c), back.column(c)),
+                    "enc {:?} col {}", enc, c
+                );
             }
         }
     }

@@ -50,7 +50,7 @@ pub struct TickUsage {
     pub net_in_bytes: u64,
     /// Bytes sent over the NIC.
     pub net_out_bytes: u64,
-    /// Decoded-block-cache occupancy on the node at tick time, bytes.
+    /// Block-cache occupancy on the node at tick time, bytes.
     pub cache_bytes: u64,
 }
 

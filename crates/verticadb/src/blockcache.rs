@@ -1,30 +1,23 @@
-//! Node-local cache of scanned segment containers, in two tiers.
+//! Node-local cache of scanned segment containers.
 //!
 //! A real Vertica node keeps hot ROS containers in the OS page cache, but
 //! our engine was still paying the *decode* on every re-read. This cache
-//! keeps the scan product per `(node, container path)`, mirroring the
-//! prediction path's `ModelCache`: entries carry the container's crc32 as a
-//! content version tag, so a same-named table that was dropped and
-//! re-created (container paths restart at `c000000`) misses on the stale
-//! entry and reloads.
+//! keeps the scan product — an [`EncodedBatch`] — per `(node, container
+//! path)`, mirroring the prediction path's `ModelCache`: entries carry the
+//! container's crc32 as a content version tag, so a same-named table that
+//! was dropped and re-created (container paths restart at `c000000`) misses
+//! on the stale entry and reloads.
 //!
-//! Entries come in two **tiers**, matching the two scan paths:
-//!
-//! * **decoded** — a plain [`Arc<Batch>`], charged at decoded byte size, and
-//! * **encoded** — an [`Arc<EncodedBatch>`] for compressed execution,
-//!   charged at *encoded* byte size, so low-cardinality columns cache far
-//!   more rows per budget byte.
-//!
-//! Both tiers share one key namespace: inserting either form replaces the
-//! other, a lookup hits only its own tier (an encoded scan cannot use a
-//! decoded entry and vice versa), and prefix invalidation (`drop_table`)
-//! covers both. Capacity is bounded in charged bytes **per node** (a slice
-//! of the cluster profile's `mem_bytes`, as each simulated node has its own
-//! RAM), with LRU eviction. Projection-pushdown interacts with caching: an
-//! entry remembers which columns it holds, and a lookup hits only if the
-//! wanted set is covered — a cached `{a, b}` batch serves a later
-//! `SELECT a`, but a `SELECT *` (wanted `None` ⇒ every column) must
-//! re-decode and then replaces the narrow entry.
+//! Entries are charged at their *encoded* byte size (Rle/Dictionary columns
+//! in run/code form, the rest decoded), so low-cardinality columns cache far
+//! more rows per budget byte. Capacity is bounded in charged bytes **per
+//! node** (a slice of the cluster profile's `mem_bytes`, as each simulated
+//! node has its own RAM), with LRU eviction; prefix invalidation
+//! (`drop_table`) removes a table's entries on every node. Projection
+//! pushdown interacts with caching: an entry remembers which columns it
+//! holds, and a lookup hits only if the wanted set is covered — a cached
+//! `{a, b}` batch serves a later `SELECT a`, but a `SELECT *` (wanted `None`
+//! ⇒ every column) must re-decode and then replaces the narrow entry.
 //!
 //! Cost model: a hit charges `disk_cached_read` (memory-speed re-read) and
 //! **zero** decode CPU; misses pay the disk read and the per-value decode
@@ -36,14 +29,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use vdr_cluster::NodeId;
-use vdr_columnar::{Batch, EncodedBatch};
-
-/// A cached scan product: one tier per scan path.
-#[derive(Clone)]
-enum CachedBlock {
-    Decoded(Arc<Batch>),
-    Encoded(Arc<EncodedBatch>),
-}
+use vdr_columnar::EncodedBatch;
 
 struct Entry {
     /// Content version tag: the container block's crc32.
@@ -51,9 +37,8 @@ struct Entry {
     /// Lowercased names of the columns this entry holds; `None` means the
     /// whole block (covers any projection).
     cols: Option<HashSet<String>>,
-    block: CachedBlock,
-    /// Charged bytes: decoded size for the decoded tier, encoded size for
-    /// the encoded tier.
+    batch: Arc<EncodedBatch>,
+    /// Charged bytes: the batch's encoded size.
     bytes: u64,
     last_used: u64,
 }
@@ -61,13 +46,13 @@ struct Entry {
 #[derive(Default)]
 struct Inner {
     entries: HashMap<(usize, String), Entry>,
-    /// Decoded bytes currently cached per node id.
+    /// Charged bytes currently cached per node id.
     bytes_per_node: HashMap<usize, u64>,
     /// Monotonic LRU clock.
     tick: u64,
 }
 
-/// The decoded-block cache. One instance serves the whole database; keys
+/// The scanned-block cache. One instance serves the whole database; keys
 /// carry the node id so each node has its own logical cache and byte
 /// budget, as it would on real hardware.
 pub struct BlockCache {
@@ -80,7 +65,7 @@ pub struct BlockCache {
 }
 
 impl BlockCache {
-    /// `capacity_per_node` bounds the decoded bytes each node may cache.
+    /// `capacity_per_node` bounds the charged bytes each node may cache.
     pub fn new(capacity_per_node: u64) -> Self {
         BlockCache {
             inner: Mutex::new(Inner::default()),
@@ -98,58 +83,18 @@ impl BlockCache {
         self.capacity_per_node.store(bytes, Ordering::Relaxed);
     }
 
-    /// Look up the decoded batch for `(node, path)`. Hits require the
-    /// content tag to match, the entry to be on the decoded tier, and the
-    /// cached projection to cover `wanted` (`None` = all columns). A tag
-    /// mismatch drops the stale entry and counts an invalidation; an
-    /// uncovered projection or a tier mismatch counts a plain miss (the
-    /// caller re-decodes and the wider/newer entry replaces this one).
+    /// Look up the scanned batch for `(node, path)`. Hits require the
+    /// content tag to match and the cached projection to cover `wanted`
+    /// (`None` = all columns). A tag mismatch drops the stale entry and
+    /// counts an invalidation; an uncovered projection counts a plain miss
+    /// (the caller re-decodes and the wider entry replaces this one).
     pub fn get(
         &self,
         node: NodeId,
         path: &str,
         crc: u32,
         wanted: Option<&HashSet<String>>,
-    ) -> Option<Arc<Batch>> {
-        match self.lookup(node, path, crc, wanted)? {
-            CachedBlock::Decoded(b) => Some(b),
-            CachedBlock::Encoded(_) => unreachable!("lookup filters tiers"),
-        }
-    }
-
-    /// Encoded-tier counterpart of [`BlockCache::get`]: returns the cached
-    /// [`EncodedBatch`] under the same crc/coverage rules.
-    pub fn get_encoded(
-        &self,
-        node: NodeId,
-        path: &str,
-        crc: u32,
-        wanted: Option<&HashSet<String>>,
     ) -> Option<Arc<EncodedBatch>> {
-        match self.lookup_tier(node, path, crc, wanted, true)? {
-            CachedBlock::Encoded(b) => Some(b),
-            CachedBlock::Decoded(_) => unreachable!("lookup filters tiers"),
-        }
-    }
-
-    fn lookup(
-        &self,
-        node: NodeId,
-        path: &str,
-        crc: u32,
-        wanted: Option<&HashSet<String>>,
-    ) -> Option<CachedBlock> {
-        self.lookup_tier(node, path, crc, wanted, false)
-    }
-
-    fn lookup_tier(
-        &self,
-        node: NodeId,
-        path: &str,
-        crc: u32,
-        wanted: Option<&HashSet<String>>,
-        want_encoded: bool,
-    ) -> Option<CachedBlock> {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -167,17 +112,16 @@ impl BlockCache {
                     format!("path={path} reason=crc"),
                 );
             } else {
-                let tier_matches = matches!(e.block, CachedBlock::Encoded(_)) == want_encoded;
                 let covered = match (&e.cols, wanted) {
                     (None, _) => true,
                     (Some(_), None) => false,
                     (Some(have), Some(want)) => want.iter().all(|w| have.contains(w)),
                 };
-                if tier_matches && covered {
+                if covered {
                     e.last_used = tick;
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     vdr_obs::counter_on("scan.cache.hit", node.0, 1);
-                    return Some(e.block.clone());
+                    return Some(Arc::clone(&e.batch));
                 }
             }
         }
@@ -186,9 +130,9 @@ impl BlockCache {
         None
     }
 
-    /// Cache a decoded batch, charged at its decoded byte size. `cols` is
-    /// the lowercased set of columns the batch holds (`None` for a full
-    /// decode). Evicts the node's least-recently-used entries until the
+    /// Cache a scanned batch, charged at its encoded byte size. `cols` is
+    /// the lowercased set of columns the batch holds (`None` for the whole
+    /// block). Evicts the node's least-recently-used entries until the
     /// batch fits; a batch larger than the whole per-node budget is not
     /// cached at all.
     pub fn insert(
@@ -197,36 +141,9 @@ impl BlockCache {
         path: &str,
         crc: u32,
         cols: Option<HashSet<String>>,
-        batch: Arc<Batch>,
-    ) {
-        let bytes = batch.byte_size();
-        self.insert_block(node, path, crc, cols, CachedBlock::Decoded(batch), bytes);
-    }
-
-    /// Cache an encoded-tier batch, charged at its *encoded* byte size —
-    /// the point of the tier: a dictionary or RLE column occupies budget at
-    /// compressed size, not expanded size.
-    pub fn insert_encoded(
-        &self,
-        node: NodeId,
-        path: &str,
-        crc: u32,
-        cols: Option<HashSet<String>>,
         batch: Arc<EncodedBatch>,
     ) {
         let bytes = batch.byte_size();
-        self.insert_block(node, path, crc, cols, CachedBlock::Encoded(batch), bytes);
-    }
-
-    fn insert_block(
-        &self,
-        node: NodeId,
-        path: &str,
-        crc: u32,
-        cols: Option<HashSet<String>>,
-        block: CachedBlock,
-        bytes: u64,
-    ) {
         let capacity = self.capacity_per_node.load(Ordering::Relaxed);
         if bytes > capacity {
             return;
@@ -262,7 +179,7 @@ impl BlockCache {
             Entry {
                 crc,
                 cols,
-                block,
+                batch,
                 bytes,
                 last_used: tick,
             },
@@ -317,18 +234,7 @@ impl BlockCache {
         self.len() == 0
     }
 
-    /// Number of encoded-tier entries across all nodes.
-    pub fn encoded_len(&self) -> usize {
-        self.inner
-            .lock()
-            .entries
-            .values()
-            .filter(|e| matches!(e.block, CachedBlock::Encoded(_)))
-            .count()
-    }
-
-    /// Charged bytes cached on `node` (decoded entries at decoded size,
-    /// encoded entries at encoded size).
+    /// Charged bytes cached on `node`.
     pub fn bytes_on(&self, node: NodeId) -> u64 {
         self.inner
             .lock()
@@ -342,16 +248,24 @@ impl BlockCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vdr_columnar::{Column, DataType, Schema};
+    use vdr_columnar::{Batch, Column, DataType, Schema};
 
-    fn batch(rows: i64) -> Arc<Batch> {
-        Arc::new(
-            Batch::new(
-                Schema::of(&[("id", DataType::Int64)]),
-                vec![Column::from_i64((0..rows).collect())],
-            )
-            .unwrap(),
+    /// A scanned batch of `rows` rows of one column: a distinct-valued (so
+    /// decoded) column, or a constant (so RLE-encoded) one.
+    fn scanned(rows: i64, constant: bool) -> Arc<EncodedBatch> {
+        let values = (0..rows).map(|i| if constant { 7 } else { i }).collect();
+        let b = Batch::new(
+            Schema::of(&[("id", DataType::Int64)]),
+            vec![Column::from_i64(values)],
         )
+        .unwrap();
+        let bytes = vdr_columnar::encode_batch(&b);
+        let (eb, _) = vdr_columnar::decode_batch_encoded(&bytes, None).unwrap();
+        Arc::new(eb)
+    }
+
+    fn batch(rows: i64) -> Arc<EncodedBatch> {
+        scanned(rows, false)
     }
 
     fn set(names: &[&str]) -> HashSet<String> {
@@ -426,78 +340,24 @@ mod tests {
     fn prefix_invalidation_hits_all_nodes() {
         let cache = BlockCache::new(1 << 20);
         cache.insert(NodeId(0), "tables/t/c0", 0, None, batch(1));
-        cache.insert(NodeId(1), "tables/t/c0", 0, None, batch(1));
+        cache.insert(NodeId(1), "tables/t/c0", 0, None, scanned(100, true));
         cache.insert(NodeId(0), "tables/u/c0", 0, None, batch(1));
         cache.invalidate_prefix("tables/t/");
         assert_eq!(cache.len(), 1);
         assert!(cache.get(NodeId(0), "tables/u/c0", 0, None).is_some());
     }
 
-    fn encoded_batch(rows: usize) -> Arc<EncodedBatch> {
-        let b = Batch::new(
-            Schema::of(&[("k", DataType::Int64)]),
-            vec![Column::from_i64(vec![7; rows])],
-        )
-        .unwrap();
-        let bytes = vdr_columnar::encode_batch(&b);
-        let (eb, _) = vdr_columnar::decode_batch_encoded(&bytes, None).unwrap();
-        assert!(eb.num_encoded() > 0, "constant column must stay encoded");
-        Arc::new(eb)
-    }
-
     #[test]
-    fn encoded_tier_charges_encoded_bytes() {
-        let eb = encoded_batch(10_000);
+    fn entries_charge_encoded_bytes() {
+        let eb = scanned(10_000, true);
+        assert_eq!(eb.num_encoded(), 1, "constant column must stay encoded");
         let decoded_size = batch(10_000).byte_size();
         assert!(eb.byte_size() * 10 < decoded_size);
         // A budget far below decoded size still accepts the encoded entry.
         let cache = BlockCache::new(decoded_size / 4);
-        cache.insert_encoded(NodeId(0), "tables/t/c0", 5, None, eb.clone());
-        assert_eq!(cache.encoded_len(), 1);
+        cache.insert(NodeId(0), "tables/t/c0", 5, None, eb.clone());
+        assert_eq!(cache.len(), 1);
         assert_eq!(cache.bytes_on(NodeId(0)), eb.byte_size());
-        assert!(cache
-            .get_encoded(NodeId(0), "tables/t/c0", 5, None)
-            .is_some());
-    }
-
-    #[test]
-    fn tiers_share_keys_but_not_hits() {
-        let cache = BlockCache::new(1 << 20);
-        cache.insert_encoded(NodeId(0), "tables/t/c0", 5, None, encoded_batch(100));
-        // A decoded-path lookup must not see the encoded entry (tier miss,
-        // not invalidation — the entry survives).
-        assert!(cache.get(NodeId(0), "tables/t/c0", 5, None).is_none());
-        assert_eq!(cache.invalidations(), 0);
-        assert!(cache
-            .get_encoded(NodeId(0), "tables/t/c0", 5, None)
-            .is_some());
-        // Inserting the decoded form replaces the encoded entry outright.
-        cache.insert(NodeId(0), "tables/t/c0", 5, None, batch(100));
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.encoded_len(), 0);
-        assert!(cache
-            .get_encoded(NodeId(0), "tables/t/c0", 5, None)
-            .is_none());
         assert!(cache.get(NodeId(0), "tables/t/c0", 5, None).is_some());
-        // crc mismatch invalidates encoded entries just like decoded ones.
-        cache.insert_encoded(NodeId(0), "tables/t/c1", 5, None, encoded_batch(100));
-        assert!(cache
-            .get_encoded(NodeId(0), "tables/t/c1", 6, None)
-            .is_none());
-        assert_eq!(cache.invalidations(), 1);
-    }
-
-    #[test]
-    fn prefix_invalidation_covers_both_tiers() {
-        let cache = BlockCache::new(1 << 20);
-        cache.insert(NodeId(0), "tables/t/c0", 0, None, batch(1));
-        cache.insert_encoded(NodeId(1), "tables/t/c1", 0, None, encoded_batch(100));
-        cache.insert_encoded(NodeId(0), "tables/u/c0", 0, None, encoded_batch(100));
-        cache.invalidate_prefix("tables/t/");
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.encoded_len(), 1);
-        assert!(cache
-            .get_encoded(NodeId(0), "tables/u/c0", 0, None)
-            .is_some());
     }
 }

@@ -9,30 +9,33 @@
 //!
 //! # Compressed execution
 //!
-//! When a query's shape allows it ([`encoded_execution_eligible`]), the scan
-//! returns [`EncodedBatch`]es whose Rle/Dictionary columns are still in
-//! run/code form. Predicates then evaluate per *run* or per *distinct
-//! dictionary code* ([`vdr_columnar::kernels::cmp_scalar_rle`] /
-//! [`cmp_scalar_dict`]), a single-column dictionary GROUP BY maps each code
-//! (not each row) to its group without hashing decoded strings, and everything
-//! else is **late-materialized**: non-predicate columns decode only the rows
-//! that survived the filter bitmap. The whole path is an executor-internal
-//! optimization — results are bit-for-bit those of the decoded path.
+//! Every table read — SELECT, both JOIN sides, and the transform, VFT and
+//! prediction scans — goes through the one storage scan
+//! ([`crate::storage::SegmentStore::scan`]), which returns
+//! [`EncodedBatch`]es whose Rle/Dictionary columns are still in run/code
+//! form. Predicates evaluate per *run* or per *distinct dictionary code*
+//! ([`vdr_columnar::kernels::cmp_scalar_rle`] / [`cmp_scalar_dict`]), and a
+//! leaf those kernels cannot take decodes just its own column
+//! ([`eval_predicate_encoded`]). A single-column dictionary GROUP BY maps
+//! each code (not each row) to its group without hashing decoded strings,
+//! and everything else is **late-materialized**: encoded columns expand only
+//! for the rows that survived the filter bitmap, and decoded columns are
+//! read in place when every row survives.
 
 use crate::db::VerticaDb;
 use crate::error::{DbError, Result};
 use crate::expr::{cmp_op, literal_num, BinOp, Expr};
 use crate::segmentation::hash_value;
 use crate::sql::{AggFunc, Partition, SelectItem, SelectStmt, Statement};
+use crate::storage::ScanSpec;
 use crate::udx::UdxContext;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use vdr_cluster::{NodeId, PhaseRecorder};
 use vdr_columnar::kernels::{self, CmpOp};
 use vdr_columnar::{
-    Batch, Bitmap, Column, ColumnBuilder, DataType, EncodedBatch, Field, ScanColumn, Schema, Value,
+    Batch, Bitmap, Column, ColumnBuilder, DataType, EncodedBatch, Field, Schema, Value,
 };
 
 #[path = "exec_agg.rs"]
@@ -44,45 +47,6 @@ use agg::{AggPartial, AggTable};
 
 /// The node that runs final merges — where the client is connected.
 const INITIATOR: NodeId = NodeId(0);
-
-/// Process-wide compressed-execution toggle (on by default). Off forces
-/// every scan down the decoded path — used by equivalence tests and as an
-/// escape hatch.
-static COMPRESSED_EXECUTION: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable compressed execution for subsequent queries.
-pub fn set_compressed_execution(on: bool) {
-    COMPRESSED_EXECUTION.store(on, Ordering::Relaxed);
-}
-
-/// Whether compressed execution is currently enabled.
-pub fn compressed_execution() -> bool {
-    COMPRESSED_EXECUTION.load(Ordering::Relaxed)
-}
-
-/// Process-wide shuffled-GROUP-BY toggle (on by default). When on, a
-/// multi-node GROUP BY whose key is not the segmentation key repartitions
-/// partial aggregates by group-key hash so the final merge is distributed
-/// instead of initiator-bound. Off forces the initiator-only merge — used by
-/// the A/B bench and equivalence tests.
-static GROUP_BY_SHUFFLE: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable the shuffled two-phase GROUP BY for subsequent queries.
-pub fn set_group_by_shuffle(on: bool) {
-    GROUP_BY_SHUFFLE.store(on, Ordering::Relaxed);
-}
-
-/// Whether the shuffled two-phase GROUP BY is currently enabled. The
-/// `VDR_GROUP_BY_SHUFFLE` environment variable, when set, overrides the
-/// in-process toggle ("0"/"off" disables, anything else enables) so
-/// benchmark harnesses can A/B the strategy through the public SQL surface
-/// alone.
-pub fn group_by_shuffle() -> bool {
-    match std::env::var("VDR_GROUP_BY_SHUFFLE") {
-        Ok(v) => !(v == "0" || v.eq_ignore_ascii_case("off")),
-        Err(_) => GROUP_BY_SHUFFLE.load(Ordering::Relaxed),
-    }
-}
 
 /// Execute any statement against the database, charging `rec`.
 pub fn execute(db: &VerticaDb, stmt: &Statement, rec: &Arc<PhaseRecorder>) -> Result<Batch> {
@@ -229,43 +193,38 @@ fn execute_select(db: &VerticaDb, stmt: &SelectStmt, rec: &Arc<PhaseRecorder>) -
     };
 
     // Per-node pipelines.
-    let per_node: Vec<Result<NodeResult>> = if let Some(sys) =
-        crate::monitor::v_monitor_table(table)
-    {
-        // System tables materialize cluster-wide: every node contributes its
-        // rows (framed and streamed to the initiator, charged to `rec`),
-        // the union gains a `node_name` column, then the ordinary
-        // WHERE/projection/ORDER BY machinery runs over it like any
-        // gathered result.
-        select_span.record("table", table);
-        let batch = db.monitor().materialize_cluster(sys, db, rec)?;
-        let filtered = apply_where(stmt, &batch)?;
-        vec![NodeResult::of(stmt, &filtered)]
-    } else if table.eq_ignore_ascii_case("r_models") {
-        // The metadata table lives on the initiator.
-        let models = db.models().as_batch();
-        let filtered = apply_where(stmt, &models)?;
-        vec![NodeResult::of(stmt, &filtered)]
-    } else {
-        let schema = db.catalog().get(table)?.schema;
-        select_span.record("table", table);
-        // Planner: push the referenced-column set down to the scan so
-        // unused column payloads are never decoded.
-        let wanted = referenced_columns(stmt);
-        // Planner rule: run on encoded data when the statement shape allows
-        // it (see `encoded_execution_eligible`).
-        let use_encoded = encoded_execution_eligible(stmt);
-        // Scatter spawns one OS thread per node: the query scope is
-        // thread-local, so re-enter it in each worker (as span parents are
-        // passed explicitly).
-        let query_id = vdr_obs::current_query_id();
-        db.cluster().scatter(|node| -> Result<NodeResult> {
-            let _q = vdr_obs::QueryScope::enter(query_id);
-            let _n = vdr_obs::NodeScope::enter(node.id().0);
-            let mut scan_span = vdr_obs::detail_span_with_parent("exec.scan", select_span_id);
-            scan_span.set_node(node.id().0);
-            if use_encoded {
-                return encoded_node_pipeline(
+    let per_node: Vec<Result<NodeResult>> =
+        if let Some(sys) = crate::monitor::v_monitor_table(table) {
+            // System tables materialize cluster-wide: every node contributes its
+            // rows (framed and streamed to the initiator, charged to `rec`),
+            // the union gains a `node_name` column, then the ordinary
+            // WHERE/projection/ORDER BY machinery runs over it like any
+            // gathered result.
+            select_span.record("table", table);
+            let batch = db.monitor().materialize_cluster(sys, db, rec)?;
+            let filtered = apply_where(stmt, &batch)?;
+            vec![NodeResult::of(stmt, &filtered)]
+        } else if table.eq_ignore_ascii_case("r_models") {
+            // The metadata table lives on the initiator.
+            let models = db.models().as_batch();
+            let filtered = apply_where(stmt, &models)?;
+            vec![NodeResult::of(stmt, &filtered)]
+        } else {
+            let schema = db.catalog().get(table)?.schema;
+            select_span.record("table", table);
+            // Planner: push the referenced-column set down to the scan so
+            // unused column payloads are never decoded.
+            let wanted = referenced_columns(stmt);
+            // Scatter spawns one OS thread per node: the query scope is
+            // thread-local, so re-enter it in each worker (as span parents are
+            // passed explicitly).
+            let query_id = vdr_obs::current_query_id();
+            db.cluster().scatter(|node| -> Result<NodeResult> {
+                let _q = vdr_obs::QueryScope::enter(query_id);
+                let _n = vdr_obs::NodeScope::enter(node.id().0);
+                let mut scan_span = vdr_obs::detail_span_with_parent("exec.scan", select_span_id);
+                scan_span.set_node(node.id().0);
+                node_pipeline(
                     db,
                     stmt,
                     &schema,
@@ -274,27 +233,9 @@ fn execute_select(db: &VerticaDb, stmt: &SelectStmt, rec: &Arc<PhaseRecorder>) -
                     rec,
                     wanted.as_ref(),
                     &mut scan_span,
-                );
-            }
-            let batches =
-                db.storage()
-                    .scan_node_projected(table, node.id(), rec, false, wanted.as_ref())?;
-            let mut rows_in = 0u64;
-            let mut rows_out = 0u64;
-            let mut result = NodeResult::new(stmt, &schema)?;
-            for batch in batches {
-                rows_in += batch.num_rows() as u64;
-                let filtered = apply_where(stmt, &batch)?;
-                rows_out += filtered.num_rows() as u64;
-                result.push(stmt, &filtered)?;
-            }
-            scan_span.record("rows_in", rows_in);
-            scan_span.record("rows_out", rows_out);
-            vdr_obs::counter_on("exec.scan.rows", node.id().0, rows_in);
-            vdr_obs::counter_on("exec.filter.rows", node.id().0, rows_out);
-            result.finish(stmt)
-        })
-    };
+                )
+            })
+        };
 
     // GROUP BY partials whose key contains the segmentation key are already
     // node-disjoint; everything else benefits from the shuffled merge.
@@ -337,7 +278,6 @@ fn gather_and_finalize(
     // Aggregates travel in their partial-batch form.
     let mut gather_span = vdr_obs::span("exec.gather");
     let mut gather_bytes = 0u64;
-    let mut merge_bytes = 0u64;
     let mut rows: Vec<Batch> = Vec::new();
     let mut aggs: Vec<AggPartial> = Vec::new();
     let mut target: Option<AggTable> = None;
@@ -352,26 +292,12 @@ fn gather_and_finalize(
                 target.get_or_insert_with(|| t.empty_like());
                 let p = t.partial();
                 let bytes = p.byte_size();
-                if i != INITIATOR.0 && !groupby_seg_aligned && !stmt.group_by.is_empty() {
-                    merge_bytes += bytes;
-                }
                 aggs.push(p);
                 bytes
             }
         };
         gather_bytes += bytes;
         rec.net(NodeId(i), INITIATOR, bytes);
-    }
-    // Merging shipped GROUP BY partials whose key ranges overlap is the
-    // initiator's CPU work — the serial bottleneck the shuffled two-phase
-    // merge exists to remove. Segmentation-aligned partials are key-disjoint
-    // (merging them is mere concatenation) and scalar aggregates merge O(n)
-    // states, so neither is charged. The charge mirrors the per-byte rate
-    // receivers pay in the shuffled path, so the two strategies are costed
-    // symmetrically.
-    if merge_bytes > 0 {
-        let scan_cost = db.cluster().profile().costs.db_scan_ns_per_value;
-        rec.cpu_work(INITIATOR, merge_bytes as f64 / 8.0, scan_cost);
     }
     gather_span.record("bytes", gather_bytes);
     vdr_obs::counter("exec.gather.bytes", gather_bytes);
@@ -413,9 +339,9 @@ enum GroupByMerge {
 /// disjoint, each node ships one finished row per group back to the
 /// initiator rather than aggregate states (a COUNT(DISTINCT) value set
 /// collapses to a single integer before it crosses the wire). Skipped when
-/// it cannot help: single node, partials that aren't grouped aggregates, a
-/// group key containing the segmentation key (already node-disjoint), or
-/// the toggle off.
+/// it cannot help: single node, partials that aren't grouped aggregates, or
+/// a group key containing the segmentation key (already node-disjoint) —
+/// those partials merge on the initiator by concatenation.
 fn maybe_shuffle_group_by(
     db: &VerticaDb,
     stmt: &SelectStmt,
@@ -428,7 +354,6 @@ fn maybe_shuffle_group_by(
         || n != db.cluster().num_nodes()
         || seg_aligned
         || stmt.group_by.is_empty()
-        || !group_by_shuffle()
         || !partials.iter().all(|p| matches!(p, NodeResult::Partial(_)))
     {
         return Ok(GroupByMerge::Gather(partials));
@@ -588,44 +513,8 @@ fn referenced_columns(stmt: &SelectStmt) -> Option<HashSet<String>> {
 
 // -------------------------------------------------- compressed execution
 
-/// Is `e` a predicate the encoded evaluator handles natively: an And/Or tree
-/// whose leaves are boolean literals or column-vs-literal comparisons (either
-/// operand order)? Anything else (LIKE, IN, col-vs-col, arithmetic inside
-/// the comparison) needs fully decoded columns, so the planner keeps those
-/// statements on the decoded path.
-fn encodable_predicate(e: &Expr) -> bool {
-    match e {
-        Expr::Literal(Value::Bool(_)) => true,
-        Expr::Binary {
-            op: BinOp::And | BinOp::Or,
-            left,
-            right,
-        } => encodable_predicate(left) && encodable_predicate(right),
-        Expr::Binary { op, left, right } if op.is_comparison() => matches!(
-            (&**left, &**right),
-            (Expr::Column(_), Expr::Literal(_)) | (Expr::Literal(_), Expr::Column(_))
-        ),
-        _ => false,
-    }
-}
-
-/// The planner's encoded-vs-decoded decision for a regular table scan.
-/// Encoded execution pays off when the filter can run per-run/per-code
-/// (encodable WHERE) or when a GROUP BY can aggregate over dictionary codes;
-/// a bare full-table SELECT gains nothing from the detour, so it stays on
-/// the decoded path (whose cache tier it already warms).
-fn encoded_execution_eligible(stmt: &SelectStmt) -> bool {
-    if !compressed_execution() {
-        return false;
-    }
-    match &stmt.where_clause {
-        Some(w) => encodable_predicate(w),
-        None => !stmt.group_by.is_empty(),
-    }
-}
-
-/// What one node's encoded pipeline did, for the cost ledger and the
-/// `scan.encoded.*` counters.
+/// What one node's (or UDx instance's) pass over its scan did, for the cost
+/// ledger and the `scan.encoded.*` counters.
 #[derive(Debug, Default)]
 struct EncodedScanStats {
     /// Per-row predicate evaluations avoided by run/code kernels.
@@ -636,15 +525,63 @@ struct EncodedScanStats {
     codes_tested: u64,
     /// Filter-surviving rows decoded out of encoded columns afterwards.
     late_materialized_rows: u64,
-    /// Values expanded from encoded form (per column × row) — the decode
-    /// work the ledger charges at scan cost.
+    /// Values expanded from encoded form (per column × row), by predicate
+    /// fallbacks and late materialization alike — the decode work the
+    /// ledger charges at scan cost.
     expanded_values: u64,
 }
 
-/// Per-node compressed-execution pipeline: encoded scan → encoded predicate
-/// → dictionary-code GROUP BY or late materialization → partial result.
+impl EncodedScanStats {
+    /// The `mask` rows of `eb` as a plain batch, counting what had to be
+    /// expanded out of encoded form.
+    fn materialize<'a>(&mut self, eb: &'a EncodedBatch, mask: &Bitmap) -> Result<Cow<'a, Batch>> {
+        let (batch, expanded) = eb.materialize(mask, None)?;
+        self.expanded_values += expanded;
+        if expanded > 0 {
+            self.late_materialized_rows += mask.count_set() as u64;
+        }
+        Ok(batch)
+    }
+
+    /// Charge the deferred expansion to `rec` at the same per-value scan
+    /// cost the eager decoder pays, and report the `scan.encoded.*`
+    /// counters.
+    fn finish(&self, rec: &PhaseRecorder, node: NodeId, scan_cost: f64) {
+        if self.expanded_values > 0 {
+            rec.cpu_work(node, self.expanded_values as f64, scan_cost);
+        }
+        for (name, value) in [
+            ("scan.encoded.runs_skipped", self.runs_skipped),
+            ("scan.encoded.runs_bsearched", self.runs_bsearched),
+            ("scan.encoded.codes_tested", self.codes_tested),
+            (
+                "scan.encoded.late_materialized_rows",
+                self.late_materialized_rows,
+            ),
+        ] {
+            if value > 0 {
+                vdr_obs::counter_on(name, node.0, value);
+            }
+        }
+    }
+}
+
+/// The WHERE selection over `eb`'s rows (every row without a WHERE).
+fn where_mask(
+    stmt: &SelectStmt,
+    eb: &EncodedBatch,
+    stats: &mut EncodedScanStats,
+) -> Result<Bitmap> {
+    match &stmt.where_clause {
+        Some(pred) => eval_predicate_encoded(pred, eb, stats),
+        None => Ok(Bitmap::all_valid(eb.num_rows())),
+    }
+}
+
+/// Per-node SELECT pipeline: scan → encoded predicate → dictionary-code
+/// GROUP BY or late materialization → partial result.
 #[allow(clippy::too_many_arguments)]
-fn encoded_node_pipeline(
+fn node_pipeline(
     db: &VerticaDb,
     stmt: &SelectStmt,
     schema: &Schema,
@@ -656,61 +593,33 @@ fn encoded_node_pipeline(
 ) -> Result<NodeResult> {
     let batches = db
         .storage()
-        .scan_node_encoded(table, node, rec, false, wanted)?;
-    let scan_cost = db.cluster().profile().costs.db_scan_ns_per_value;
+        .scan(table, node, ScanSpec::columns(wanted), rec)?;
     let mut stats = EncodedScanStats::default();
     let mut rows_in = 0u64;
     let mut rows_out = 0u64;
     let mut result = NodeResult::new(stmt, schema)?;
     for eb in batches {
         rows_in += eb.num_rows() as u64;
-        let mask = match &stmt.where_clause {
-            Some(pred) => eval_predicate_encoded(pred, &eb, &mut stats)?,
-            None => Bitmap::all_valid(eb.num_rows()),
-        };
+        let mask = where_mask(stmt, &eb, &mut stats)?;
         rows_out += mask.count_set() as u64;
         match &mut result {
             NodeResult::Partial(t) => t.update_encoded(&eb, &mask, &mut stats)?,
             NodeResult::Rows(_) => {
-                let (batch, expanded) = eb.materialize(&mask, None)?;
-                stats.expanded_values += expanded;
-                if expanded > 0 {
-                    stats.late_materialized_rows += mask.count_set() as u64;
-                }
+                let batch = stats.materialize(&eb, &mask)?;
                 result.push(stmt, &batch)?;
             }
         }
     }
-    // Expansion out of encoded form is the decode work this path deferred;
-    // charge it at the same per-value scan cost the eager decoder pays.
-    if stats.expanded_values > 0 {
-        rec.cpu_work(node, stats.expanded_values as f64, scan_cost);
-    }
+    stats.finish(rec, node, db.cluster().profile().costs.db_scan_ns_per_value);
     scan_span.record("rows_in", rows_in);
     scan_span.record("rows_out", rows_out);
     vdr_obs::counter_on("exec.scan.rows", node.0, rows_in);
     vdr_obs::counter_on("exec.filter.rows", node.0, rows_out);
-    if stats.runs_skipped > 0 {
-        vdr_obs::counter_on("scan.encoded.runs_skipped", node.0, stats.runs_skipped);
-    }
-    if stats.runs_bsearched > 0 {
-        vdr_obs::counter_on("scan.encoded.runs_bsearched", node.0, stats.runs_bsearched);
-    }
-    if stats.codes_tested > 0 {
-        vdr_obs::counter_on("scan.encoded.codes_tested", node.0, stats.codes_tested);
-    }
-    if stats.late_materialized_rows > 0 {
-        vdr_obs::counter_on(
-            "scan.encoded.late_materialized_rows",
-            node.0,
-            stats.late_materialized_rows,
-        );
-    }
     result.finish(stmt)
 }
 
-/// Evaluate a WHERE predicate against an encoded batch, producing the same
-/// is-TRUE selection mask [`Expr::eval_predicate`] would on decoded columns.
+/// Evaluate a WHERE predicate against an encoded batch, producing the
+/// is-TRUE selection mask [`Expr::eval_predicate`] gives on decoded columns.
 /// RLE columns compare once per run ([`kernels::cmp_scalar_rle`]),
 /// dictionary columns once per distinct code
 /// ([`kernels::cmp_scalar_dict`]); leaves outside the encoded kernels decode
@@ -747,9 +656,9 @@ fn eval_predicate_encoded(
                     return Ok(mask);
                 }
             }
-            decoded_predicate_leaf(e, eb)
+            decoded_predicate_leaf(e, eb, stats)
         }
-        _ => decoded_predicate_leaf(e, eb),
+        _ => decoded_predicate_leaf(e, eb, stats),
     }
 }
 
@@ -763,7 +672,7 @@ fn encoded_cmp_leaf(
     lit: &Value,
     stats: &mut EncodedScanStats,
 ) -> Result<Option<Bitmap>> {
-    let ScanColumn::Encoded(col) = eb.column_by_name(name)? else {
+    let Some(col) = eb.encoded_column(name) else {
         return Ok(None);
     };
     if let Some(rhs) = literal_num(lit) {
@@ -782,14 +691,20 @@ fn encoded_cmp_leaf(
     Ok(None)
 }
 
-/// Fallback for a predicate leaf the encoded kernels can't take: decode only
-/// the columns that leaf references (all rows — the mask isn't known yet)
-/// and run the decoded evaluator over the single-purpose batch.
-fn decoded_predicate_leaf(e: &Expr, eb: &EncodedBatch) -> Result<Bitmap> {
+/// Fallback for a predicate leaf the encoded kernels can't take: expand only
+/// the columns that leaf references (all rows — the mask isn't known yet),
+/// charged like any other expansion, and run the decoded evaluator over
+/// them. Decoded columns are read in place.
+fn decoded_predicate_leaf(
+    e: &Expr,
+    eb: &EncodedBatch,
+    stats: &mut EncodedScanStats,
+) -> Result<Bitmap> {
     let cols: HashSet<String> = e.columns().iter().map(|c| c.to_ascii_lowercase()).collect();
     let all = Bitmap::all_valid(eb.num_rows());
     let subset = if cols.is_empty() { None } else { Some(&cols) };
-    let (batch, _) = eb.materialize(&all, subset)?;
+    let (batch, expanded) = eb.materialize(&all, subset)?;
+    stats.expanded_values += expanded;
     e.eval_predicate(&batch)
 }
 
@@ -1106,6 +1021,7 @@ fn run_transform(
     // profile's export-lane count per node, bounded by the containers
     // available (an instance with no containers would idle).
     let lanes = db.cluster().profile().costs.vft_export_lanes;
+    let scan_cost = db.cluster().profile().costs.db_scan_ns_per_value;
     // Transforms reference a known column set — function args, WHERE, and
     // the PARTITION BY routing column — so the scan always gets a
     // projection to push down.
@@ -1149,62 +1065,42 @@ fn run_transform(
                         vdr_obs::detail_span_with_parent("exec.transform.instance", tf_span_id);
                     inst_span.set_node(node_id.0);
                     inst_span.record("instance", instance);
-                    // Each instance reads a disjoint slice of the node's
-                    // containers ("UDFs on each database node read a unique
-                    // segment of the table stored on that node").
-                    let raw = match partition {
-                        Partition::Best => db.storage().scan_node_slice(
-                            table,
-                            node_id,
-                            instance,
-                            instances,
-                            rec,
-                            false,
-                            Some(&wanted),
-                        )?,
-                        Partition::By(col) => {
-                            // Route rows among local instances by hash(col).
-                            let all = if instance == 0 {
-                                db.storage().scan_node_projected(
-                                    table,
-                                    node_id,
-                                    rec,
-                                    false,
-                                    Some(&wanted),
-                                )?
-                            } else {
-                                // Re-read through the page cache: the first
-                                // instance warmed it.
-                                db.storage().scan_node_projected(
-                                    table,
-                                    node_id,
-                                    rec,
-                                    true,
-                                    Some(&wanted),
-                                )?
-                            };
-                            let mut mine = Vec::new();
-                            for b in all {
-                                let key = b.column_by_name(col)?;
-                                let mask = Bitmap::from_fn(b.num_rows(), |r| {
-                                    (hash_value(&key.get(r)) % instances as u64) as usize
-                                        == instance
-                                });
-                                mine.push(Arc::new(b.filter(&mask)?));
-                            }
-                            mine
-                        }
+                    let spec = match partition {
+                        // Each instance reads a disjoint slice of the node's
+                        // containers ("UDFs on each database node read a
+                        // unique segment of the table stored on that node").
+                        Partition::Best => ScanSpec {
+                            slice: instance,
+                            num_slices: instances,
+                            ..ScanSpec::columns(Some(&wanted))
+                        },
+                        // Every instance reads the whole segment and keeps
+                        // its hash(col) share; the first read warms the page
+                        // cache for the others.
+                        Partition::By(_) => ScanSpec {
+                            cached: instance > 0,
+                            ..ScanSpec::columns(Some(&wanted))
+                        },
                     };
-                    // WHERE + argument projection.
-                    let mut input = Vec::with_capacity(raw.len());
-                    for b in raw {
-                        let filtered = apply_where(stmt, &b)?;
-                        let cols: Vec<Column> = args
-                            .iter()
-                            .map(|e| e.eval(&filtered))
-                            .collect::<Result<_>>()?;
+                    let scanned = db.storage().scan(table, node_id, spec, rec)?;
+                    // WHERE, PARTITION BY routing, argument projection.
+                    let mut stats = EncodedScanStats::default();
+                    let mut input = Vec::with_capacity(scanned.len());
+                    for eb in &scanned {
+                        let mask = where_mask(stmt, eb, &mut stats)?;
+                        let mut batch = stats.materialize(eb, &mask)?;
+                        if let Partition::By(col) = partition {
+                            let key = batch.column_by_name(col)?;
+                            let mine = Bitmap::from_fn(batch.num_rows(), |r| {
+                                (hash_value(&key.get(r)) % instances as u64) as usize == instance
+                            });
+                            batch = Cow::Owned(batch.filter(&mine)?);
+                        }
+                        let cols: Vec<Column> =
+                            args.iter().map(|e| e.eval(&batch)).collect::<Result<_>>()?;
                         input.push(Batch::new(input_schema.clone(), cols)?);
                     }
+                    stats.finish(rec, node_id, scan_cost);
                     let ctx = UdxContext {
                         node: node_id,
                         instance,
@@ -1647,11 +1543,6 @@ mod tests {
 
     // --------------------------------------------- compressed execution
 
-    /// The compressed-execution toggle is process-global; tests that flip it
-    /// serialize here so parallel test threads don't observe each other's
-    /// setting.
-    static TOGGLE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     /// A table whose blocks actually pick RLE (sorted low-cardinality `grp`)
     /// and Dictionary (3-value `tag`) encodings, with NULLs in both.
     fn db_low_cardinality() -> Arc<VerticaDb> {
@@ -1683,45 +1574,118 @@ mod tests {
     }
 
     #[test]
-    fn compressed_and_decoded_execution_agree() {
-        let _g = TOGGLE_LOCK.lock().unwrap();
+    fn compressed_execution_matches_expected_rows() {
+        use Value::{Float64 as F, Int64 as I, Null, Varchar};
         let db = db_low_cardinality();
-        let queries = [
+        let s = |v: &str| Varchar(v.into());
+        // Rows of `lc`: id i, grp i / 200 (NULL when i % 97 == 0), x
+        // i % 7 + 0.5, tag "a"/"b"/"c" by i % 3 (NULL when i % 89 == 0).
+        let cases: Vec<(&str, Vec<Vec<Value>>)> = vec![
             // RLE predicate, late-materialized projection.
-            "SELECT id, x FROM lc WHERE grp = 1 ORDER BY id",
+            (
+                "SELECT id, x FROM lc WHERE grp = 1 ORDER BY id",
+                (200..400i64)
+                    .filter(|i| i % 97 != 0)
+                    .map(|i| vec![I(i), F((i % 7) as f64 + 0.5)])
+                    .collect(),
+            ),
             // Dictionary predicate plus RLE predicate in an AND tree.
-            "SELECT count(*), sum(x) FROM lc WHERE grp >= 1 AND tag = 'b'",
+            (
+                "SELECT count(*), sum(x) FROM lc WHERE grp >= 1 AND tag = 'b'",
+                vec![vec![I(131), F(457.5)]],
+            ),
             // OR tree, flipped literal-first operand order.
-            "SELECT count(*) FROM lc WHERE 2 <= grp OR tag <> 'a'",
+            (
+                "SELECT count(*) FROM lc WHERE 2 <= grp OR tag <> 'a'",
+                vec![vec![I(462)]],
+            ),
             // Dictionary GROUP BY (dense per-code path) with NULL keys.
-            "SELECT tag, count(*) AS n, avg(x), min(id), max(id) FROM lc GROUP BY tag ORDER BY tag",
+            (
+                "SELECT tag, count(*) AS n, avg(x), min(id), max(id) FROM lc GROUP BY tag ORDER BY tag",
+                vec![
+                    vec![s("a"), I(197), F(694.5 / 197.0), I(3), I(597)],
+                    vec![s("b"), I(198), F(688.0 / 198.0), I(1), I(598)],
+                    vec![s("c"), I(198), F(688.0 / 198.0), I(2), I(599)],
+                    vec![Null, I(7), F(3.5), I(0), I(534)],
+                ],
+            ),
             // Dictionary GROUP BY whose argument reads no column.
-            "SELECT tag, sum(1), count(*) FROM lc GROUP BY tag ORDER BY tag",
+            (
+                "SELECT tag, sum(1), count(*) FROM lc GROUP BY tag ORDER BY tag",
+                vec![
+                    vec![s("a"), F(197.0), I(197)],
+                    vec![s("b"), F(198.0), I(198)],
+                    vec![s("c"), F(198.0), I(198)],
+                    vec![Null, F(7.0), I(7)],
+                ],
+            ),
             // Filtered dictionary GROUP BY with a distinct aggregate.
-            "SELECT tag, count(DISTINCT grp) FROM lc WHERE id < 500 GROUP BY tag ORDER BY tag",
-            // NULL-heavy predicate: NULL grp rows must drop in both paths.
-            "SELECT count(*) FROM lc WHERE grp <= 2",
+            (
+                "SELECT tag, count(DISTINCT grp) FROM lc WHERE id < 500 GROUP BY tag ORDER BY tag",
+                vec![
+                    vec![s("a"), I(3)],
+                    vec![s("b"), I(3)],
+                    vec![s("c"), I(3)],
+                    vec![Null, I(3)],
+                ],
+            ),
+            // NULL-heavy predicate: NULL grp rows drop.
+            ("SELECT count(*) FROM lc WHERE grp <= 2", vec![vec![I(593)]]),
             // Non-dictionary GROUP BY falls back to late materialization.
-            "SELECT grp, count(*) FROM lc WHERE tag = 'c' GROUP BY grp ORDER BY grp",
+            (
+                "SELECT grp, count(*) FROM lc WHERE tag = 'c' GROUP BY grp ORDER BY grp",
+                vec![
+                    vec![I(0), I(64)],
+                    vec![I(1), I(66)],
+                    vec![I(2), I(66)],
+                    vec![Null, I(2)],
+                ],
+            ),
         ];
-        for sql in queries {
-            set_compressed_execution(true);
-            let on = db.query(sql).unwrap().batch;
-            set_compressed_execution(false);
-            let off = db.query(sql).unwrap().batch;
-            set_compressed_execution(true);
-            assert_eq!(
-                rows_of(&on),
-                rows_of(&off),
-                "encoded and decoded paths disagree for {sql}"
-            );
+        for (sql, want) in cases {
+            assert_eq!(rows_of(&db.query(sql).unwrap().batch), want, "{sql}");
         }
     }
 
     #[test]
+    fn predicate_fallback_decode_is_charged() {
+        // `grp` is RLE (four runs of 1000), `x` plain. A kernel predicate
+        // and an IN list select the same rows; the IN leaf has no encoded
+        // kernel, so it expands `grp` for every row, and that decode costs
+        // the same per value as any other expansion.
+        let db = VerticaDb::new(SimCluster::for_tests(1));
+        db.query("CREATE TABLE r (grp INTEGER, x FLOAT)").unwrap();
+        let rows = 4000i64;
+        let values: Vec<String> = (0..rows)
+            .map(|i| format!("({}, {i}.5)", i / 1000))
+            .collect();
+        db.query(&format!("INSERT INTO r VALUES {}", values.join(", ")))
+            .unwrap();
+        let warm_cpu = |sql: &str| {
+            db.query(sql).unwrap();
+            let rec = Arc::new(PhaseRecorder::new(
+                "t",
+                vdr_cluster::PhaseKind::Sequential,
+                1,
+            ));
+            let out = db.query_with(sql, &rec).unwrap();
+            let Ok(rec) = Arc::try_unwrap(rec) else {
+                panic!("the statement still holds its recorder")
+            };
+            (
+                out.row(0),
+                rec.finish(db.cluster().profile()).total_cpu_core_ns,
+            )
+        };
+        let (kernel, kernel_cpu) = warm_cpu("SELECT sum(x) FROM r WHERE grp = 1 OR grp = 2");
+        let (fallback, fallback_cpu) = warm_cpu("SELECT sum(x) FROM r WHERE grp IN (1, 2)");
+        assert_eq!(kernel, fallback);
+        let per_value = db.cluster().profile().costs.db_scan_ns_per_value;
+        assert_eq!(fallback_cpu - kernel_cpu, rows as f64 * per_value);
+    }
+
+    #[test]
     fn encoded_predicate_skips_runs_under_profile() {
-        let _g = TOGGLE_LOCK.lock().unwrap();
-        set_compressed_execution(true);
         let db = db_low_cardinality();
         db.query("PROFILE SELECT count(*) FROM lc WHERE grp = 1")
             .unwrap();
@@ -1758,8 +1722,6 @@ mod tests {
 
     #[test]
     fn sorted_rle_predicates_binary_search_run_boundaries() {
-        let _g = TOGGLE_LOCK.lock().unwrap();
-        set_compressed_execution(true);
         let db = VerticaDb::new(SimCluster::for_tests(2));
         db.query("CREATE TABLE st (s INTEGER, x FLOAT)").unwrap();
         // `s` is sorted with 64 runs of 40 rows: each node's round-robin
@@ -1769,17 +1731,23 @@ mod tests {
             .collect();
         db.query(&format!("INSERT INTO st VALUES {}", values.join(", ")))
             .unwrap();
-        let queries = [
-            "SELECT count(*) FROM st WHERE s < 20",
-            "SELECT count(*), sum(x) FROM st WHERE s >= 48",
-            "SELECT s, count(*) FROM st WHERE s = 7 GROUP BY s",
+        let cases = [
+            (
+                "SELECT count(*) FROM st WHERE s < 20",
+                vec![Value::Int64(800)],
+            ),
+            (
+                "SELECT count(*), sum(x) FROM st WHERE s >= 48",
+                vec![Value::Int64(640), Value::Float64(2719.0)],
+            ),
+            (
+                "SELECT s, count(*) FROM st WHERE s = 7 GROUP BY s",
+                vec![Value::Int64(7), Value::Int64(40)],
+            ),
         ];
-        for sql in queries {
-            let on = db.query(sql).unwrap().batch;
-            set_compressed_execution(false);
-            let off = db.query(sql).unwrap().batch;
-            set_compressed_execution(true);
-            assert_eq!(rows_of(&on), rows_of(&off), "paths disagree for {sql}");
+        for (sql, want) in cases {
+            let out = db.query(sql).unwrap().batch;
+            assert_eq!(rows_of(&out), vec![want], "{sql}");
         }
         let m = db
             .query(
@@ -1794,38 +1762,5 @@ mod tests {
             total >= (3 * 2 * 64) as f64,
             "sorted RLE predicates should binary-search, got {total}"
         );
-    }
-
-    #[test]
-    fn planner_rule_picks_encoded_only_for_eligible_shapes() {
-        let eligible = [
-            "SELECT id FROM t WHERE grp = 1",
-            "SELECT count(*) FROM t WHERE 1 <= grp AND tag = 'b'",
-            "SELECT tag, count(*) FROM t GROUP BY tag",
-        ];
-        let ineligible = [
-            // No WHERE, no GROUP BY: plain scans stay decoded (and keep
-            // warming the decoded cache tier).
-            "SELECT * FROM t",
-            // Column-vs-column comparison.
-            "SELECT id FROM t WHERE grp = id",
-            // Arithmetic inside the comparison.
-            "SELECT id FROM t WHERE grp + 1 = 2",
-            // LIKE / IN need decoded values.
-            "SELECT id FROM t WHERE tag LIKE 'a%'",
-            "SELECT id FROM t WHERE grp IN (1, 2)",
-        ];
-        let as_select = |sql: &str| -> SelectStmt {
-            match crate::sql::parse(sql).unwrap() {
-                Statement::Select(s) => s,
-                other => panic!("expected SELECT, got {other:?}"),
-            }
-        };
-        for sql in eligible {
-            assert!(encoded_execution_eligible(&as_select(sql)), "{sql}");
-        }
-        for sql in ineligible {
-            assert!(!encoded_execution_eligible(&as_select(sql)), "{sql}");
-        }
     }
 }

@@ -739,18 +739,13 @@ impl AggTable {
         stats: &mut EncodedScanStats,
     ) -> Result<()> {
         let dict_key = match self.key_exprs.as_slice() {
-            [Expr::Column(name)] => match eb.column_by_name(name) {
-                Ok(ScanColumn::Encoded(col)) => col.dict().map(|d| (name, d, col.validity())),
-                _ => None,
-            },
+            [Expr::Column(name)] => eb
+                .encoded_column(name)
+                .and_then(|col| col.dict().map(|d| (name, d, col.validity()))),
             _ => None,
         };
         let Some((key_name, (dict, codes), validity)) = dict_key else {
-            let (batch, expanded) = eb.materialize(mask, None)?;
-            stats.expanded_values += expanded;
-            if expanded > 0 {
-                stats.late_materialized_rows += mask.count_set() as u64;
-            }
+            let batch = stats.materialize(eb, mask)?;
             return self.update(&batch);
         };
         // Slot per dictionary code, plus one for NULL keys; only slots some

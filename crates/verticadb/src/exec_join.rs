@@ -404,7 +404,7 @@ pub(super) fn execute_join_select(
 }
 
 /// Scan one side of the join on one node, concatenated into a single batch
-/// restricted to the `wanted` columns.
+/// of exactly the `wanted` columns (`None` = all), in table order.
 fn scan_side(
     db: &VerticaDb,
     table: &str,
@@ -412,34 +412,34 @@ fn scan_side(
     rec: &Arc<PhaseRecorder>,
     wanted: Option<&HashSet<String>>,
 ) -> Result<Batch> {
-    let batches = db
+    let def = db.catalog().get(table)?;
+    let names: Vec<&str> = def
+        .schema
+        .fields()
+        .iter()
+        .map(|f| f.name.as_str())
+        .filter(|name| wanted.is_none_or(|set| set.iter().any(|w| w.eq_ignore_ascii_case(name))))
+        .collect();
+    let scanned = db
         .storage()
-        .scan_node_projected(table, node.id(), rec, false, wanted)?;
-    match batches.len() {
-        0 => {
-            // Empty segment: synthesize the projected schema so downstream
-            // column lookups still resolve.
-            let def = db.catalog().get(table)?;
-            let keep = |name: &str| match wanted {
-                None => true,
-                Some(set) => set.iter().any(|w| w.eq_ignore_ascii_case(name)),
-            };
-            let fields: Vec<Field> = def
-                .schema
-                .fields()
-                .iter()
-                .filter(|f| keep(&f.name))
-                .cloned()
-                .collect();
-            Ok(Batch::empty(Schema::new(fields)))
-        }
-        1 => Ok(batches[0].as_ref().clone()),
-        _ => {
-            let schema = batches[0].schema().clone();
-            let owned: Vec<Batch> = batches.iter().map(|b| b.as_ref().clone()).collect();
-            Ok(Batch::concat(schema, &owned)?)
+        .scan(table, node.id(), ScanSpec::columns(wanted), rec)?;
+    let mut stats = EncodedScanStats::default();
+    let mut out = Batch::empty(def.schema.project(&names)?);
+    for eb in &scanned {
+        let batch = stats.materialize(eb, &Bitmap::all_valid(eb.num_rows()))?;
+        // A cache entry may hold more columns than this scan wants.
+        if batch.num_columns() == names.len() {
+            out.extend(&batch)?;
+        } else {
+            out.extend(&batch.project(&names)?)?;
         }
     }
+    stats.finish(
+        rec,
+        node.id(),
+        db.cluster().profile().costs.db_scan_ns_per_value,
+    );
+    Ok(out)
 }
 
 /// Co-located fast path: plain scatter, both sides scanned locally, no
@@ -622,6 +622,7 @@ fn decode_received(
                 let (batch, expanded) = eb
                     .materialize(&mask, None)
                     .map_err(|e| DbError::Exec(format!("exchange materialize: {e}")))?;
+                let batch = batch.into_owned();
                 Ok((*side, batch, dstats.cols_kept_encoded as u64, expanded))
             })
             .collect()

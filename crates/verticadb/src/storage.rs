@@ -2,23 +2,23 @@
 //! encoded, checksummed columnar *containers* (ROS-style) on its simulated
 //! disk.
 //!
-//! The scan path does three things a naive "read + decode everything"
-//! loop would not:
+//! There is one scan, [`SegmentStore::scan`], and it does four things a
+//! naive "read + decode everything" loop would not:
 //!
+//! * **Compressed execution** — it returns [`EncodedBatch`]es whose
+//!   Rle/Dictionary columns stay in run/code form
+//!   ([`vdr_columnar::decode_batch_encoded`]) for the executor's encoded
+//!   kernels and late materialization; only Plain/DeltaVarint columns decode
+//!   at scan time.
 //! * **Projection pushdown** — callers pass the set of referenced columns
-//!   and only those payloads are decoded
-//!   ([`vdr_columnar::decode_batch_columns`]); decode CPU is charged per
-//!   *decoded* value, not per stored value.
-//! * **Decoded-block cache** — a node-local LRU of decoded batches keyed by
-//!   `(node, container path)` and validated by the container's crc32
-//!   ([`crate::blockcache::BlockCache`]). Hits charge a memory-speed
-//!   `disk_cached_read` and zero decode CPU.
+//!   and only those payloads are read; decode CPU is charged per *decoded*
+//!   value, not per stored value.
+//! * **Block cache** — a node-local LRU of scanned batches keyed by
+//!   `(node, container path)`, validated by the container's crc32 and
+//!   charged at encoded size ([`crate::blockcache::BlockCache`]). Hits
+//!   charge a memory-speed `disk_cached_read` and zero decode CPU.
 //! * **Parallel container decode** — each node's containers are decoded on
 //!   the rayon pool, mirroring a real node's per-core scan threads.
-//! * **Compressed execution** — [`SegmentStore::scan_node_encoded`] returns
-//!   [`EncodedBatch`]es whose Rle/Dictionary columns stay in run/code form
-//!   for the executor's encoded kernels and late materialization; those
-//!   entries cache at *encoded* size on the block cache's encoded tier.
 
 use crate::blockcache::BlockCache;
 use crate::catalog::TableDef;
@@ -31,13 +31,40 @@ use std::sync::Arc;
 use std::time::Instant;
 use vdr_cluster::{NodeId, PhaseRecorder, SimCluster};
 use vdr_columnar::{
-    block_checksum, block_column_info, decode_batch_columns, decode_batch_encoded, encode_batch,
-    encoding::Encoding, Batch, EncodedBatch,
+    block_checksum, block_column_info, decode_batch_encoded, encode_batch, encoding::Encoding,
+    Batch, EncodedBatch,
 };
 
-/// Fraction of a node's RAM given to the decoded-block cache (1/32 of the
-/// profile's `mem_bytes` — the rest belongs to the resource pools).
+/// Fraction of a node's RAM given to the block cache (1/32 of the profile's
+/// `mem_bytes` — the rest belongs to the resource pools).
 const CACHE_MEM_FRACTION: u64 = 32;
+
+/// What one [`SegmentStore::scan`] of a node's segment reads.
+#[derive(Debug, Clone, Copy)]
+pub struct ScanSpec<'a> {
+    /// Columns to read (`None` = all); names match case-insensitively.
+    pub wanted: Option<&'a HashSet<String>>,
+    /// Read only the containers of UDx instance `slice` of `num_slices`:
+    /// containers are dealt round-robin to instances, so concurrent
+    /// instances never share a container.
+    pub slice: usize,
+    pub num_slices: usize,
+    /// The containers were just read through the OS page cache: a block
+    /// cache miss is charged as a cached re-read, not a cold disk read.
+    pub cached: bool,
+}
+
+impl<'a> ScanSpec<'a> {
+    /// Every container, the `wanted` columns, cold reads on a miss.
+    pub fn columns(wanted: Option<&'a HashSet<String>>) -> Self {
+        ScanSpec {
+            wanted,
+            slice: 0,
+            num_slices: 1,
+            cached: false,
+        }
+    }
+}
 
 /// Per-column storage facts for one container: the encoding the block
 /// writer chose and the encoded-vs-decoded byte sizes. Surfaced through
@@ -89,7 +116,7 @@ impl SegmentStore {
         }
     }
 
-    /// The node-local decoded-block cache (stats + capacity control).
+    /// The node-local block cache (stats + capacity control).
     pub fn block_cache(&self) -> &BlockCache {
         &self.cache
     }
@@ -185,145 +212,45 @@ impl SegmentStore {
         }
     }
 
-    /// Read and decode every container of `table` on `node`, charging cold
-    /// disk reads (or cached re-reads) and decode CPU to `rec`.
-    pub fn scan_node(
+    /// Read the containers of `table` on `node` that `spec` selects, as
+    /// [`EncodedBatch`]es holding the `spec.wanted` columns, charging cold
+    /// disk reads (or cached re-reads) and the eager decode CPU to `rec`.
+    /// Rle/Dictionary columns stay encoded: their expansion is charged where
+    /// the executor materializes them, for the rows it keeps. Containers are
+    /// decoded in parallel on the rayon pool; cache hits skip decode
+    /// entirely.
+    pub fn scan(
         &self,
         table: &str,
         node: NodeId,
+        spec: ScanSpec<'_>,
         rec: &PhaseRecorder,
-        cached: bool,
-    ) -> Result<Vec<Arc<Batch>>> {
-        self.scan_node_slice(table, node, 0, 1, rec, cached, None)
-    }
-
-    /// [`Self::scan_node`] with projection pushdown: only the columns named
-    /// in `wanted` are decoded (`None` decodes all).
-    pub fn scan_node_projected(
-        &self,
-        table: &str,
-        node: NodeId,
-        rec: &PhaseRecorder,
-        cached: bool,
-        wanted: Option<&HashSet<String>>,
-    ) -> Result<Vec<Arc<Batch>>> {
-        self.scan_node_slice(table, node, 0, 1, rec, cached, wanted)
-    }
-
-    /// Read the containers assigned to UDx instance `slice` of `num_slices`
-    /// on `node` (containers are dealt round-robin to instances, so
-    /// concurrent instances never share a container), decoding only the
-    /// `wanted` columns (`None` = all). Containers are decoded in parallel
-    /// on the rayon pool; cache hits skip decode entirely.
-    #[allow(clippy::too_many_arguments)]
-    pub fn scan_node_slice(
-        &self,
-        table: &str,
-        node: NodeId,
-        slice: usize,
-        num_slices: usize,
-        rec: &PhaseRecorder,
-        cached: bool,
-        wanted: Option<&HashSet<String>>,
-    ) -> Result<Vec<Arc<Batch>>> {
-        assert!(slice < num_slices, "slice index out of range");
-        // Lowercase once so the cache's coverage check is a plain set test.
-        let wanted_lc: Option<HashSet<String>> =
-            wanted.map(|w| w.iter().map(|s| s.to_ascii_lowercase()).collect());
-        let containers = self.containers(table, node);
-        let disk = self.cluster.node(node).disk();
-        let scan_cost = self.cluster.profile().costs.db_scan_ns_per_value;
-        let cols_skipped = AtomicU64::new(0);
-        let out: Vec<Arc<Batch>> = containers
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % num_slices == slice)
-            .map(|(_, c)| c)
-            .collect::<Vec<_>>()
-            .par_iter()
-            .map(|c| -> Result<Arc<Batch>> {
-                if let Some(hit) = self.cache.get(node, &c.path, c.crc, wanted_lc.as_ref()) {
-                    // Decoded bytes are already resident: memory-speed
-                    // re-read of the container, no decode CPU at all.
-                    rec.disk_cached_read(node, c.bytes);
-                    return Ok(hit);
-                }
-                let raw = disk.read(&c.path)?;
-                if cached {
-                    rec.disk_cached_read(node, c.bytes);
-                } else {
-                    rec.disk_read(node, c.bytes);
-                }
-                let started = Instant::now();
-                let (batch, stats) = decode_batch_columns(&raw, wanted_lc.as_ref())?;
-                let values = stats.values_decoded();
-                rec.cpu_work(node, values as f64, scan_cost);
-                if values > 0 {
-                    vdr_obs::observe_on(
-                        "scan.decode.ns_per_value",
-                        node.0,
-                        started.elapsed().as_nanos() as f64 / values as f64,
-                    );
-                }
-                cols_skipped.fetch_add(stats.cols_skipped() as u64, Ordering::Relaxed);
-                let batch = Arc::new(batch);
-                let cache_cols = if stats.cols_decoded == stats.cols_total {
-                    None
-                } else {
-                    Some(
-                        batch
-                            .schema()
-                            .fields()
-                            .iter()
-                            .map(|f| f.name.to_ascii_lowercase())
-                            .collect(),
-                    )
-                };
-                self.cache
-                    .insert(node, &c.path, c.crc, cache_cols, Arc::clone(&batch));
-                Ok(batch)
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let skipped = cols_skipped.load(Ordering::Relaxed);
-        if skipped > 0 {
-            vdr_obs::counter_on("exec.scan.cols_skipped", node.0, skipped);
-        }
-        Ok(out)
-    }
-
-    /// Compressed-execution scan: like [`Self::scan_node_projected`] but
-    /// Rle/Dictionary columns stay in run/code form
-    /// ([`vdr_columnar::decode_batch_encoded`]). Decode CPU is charged only
-    /// for the eagerly decoded (Plain/DeltaVarint) columns — encoded
-    /// columns' expansion is charged later, at late materialization, for
-    /// surviving rows only. Results cache on the block cache's encoded
-    /// tier, at encoded byte size.
-    pub fn scan_node_encoded(
-        &self,
-        table: &str,
-        node: NodeId,
-        rec: &PhaseRecorder,
-        cached: bool,
-        wanted: Option<&HashSet<String>>,
     ) -> Result<Vec<Arc<EncodedBatch>>> {
-        let wanted_lc: Option<HashSet<String>> =
-            wanted.map(|w| w.iter().map(|s| s.to_ascii_lowercase()).collect());
+        assert!(spec.slice < spec.num_slices, "slice index out of range");
+        // Lowercase once so the cache's coverage check is a plain set test.
+        let wanted_lc: Option<HashSet<String>> = spec
+            .wanted
+            .map(|w| w.iter().map(|s| s.to_ascii_lowercase()).collect());
         let containers = self.containers(table, node);
         let disk = self.cluster.node(node).disk();
         let scan_cost = self.cluster.profile().costs.db_scan_ns_per_value;
         let cols_skipped = AtomicU64::new(0);
         let out: Vec<Arc<EncodedBatch>> = containers
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i % spec.num_slices == spec.slice)
+            .map(|(_, c)| c)
+            .collect::<Vec<_>>()
             .par_iter()
             .map(|c| -> Result<Arc<EncodedBatch>> {
-                if let Some(hit) = self
-                    .cache
-                    .get_encoded(node, &c.path, c.crc, wanted_lc.as_ref())
-                {
+                if let Some(hit) = self.cache.get(node, &c.path, c.crc, wanted_lc.as_ref()) {
+                    // The scanned batch is already resident: memory-speed
+                    // re-read of the container, no decode CPU at all.
                     rec.disk_cached_read(node, c.bytes);
                     return Ok(hit);
                 }
                 let raw = disk.read(&c.path)?;
-                if cached {
+                if spec.cached {
                     rec.disk_cached_read(node, c.bytes);
                 } else {
                     rec.disk_read(node, c.bytes);
@@ -341,8 +268,7 @@ impl SegmentStore {
                 }
                 cols_skipped.fetch_add(stats.cols_skipped() as u64, Ordering::Relaxed);
                 let batch = Arc::new(batch);
-                let covers_all = stats.cols_decoded + stats.cols_kept_encoded == stats.cols_total;
-                let cache_cols = if covers_all {
+                let cache_cols = if stats.cols_skipped() == 0 {
                     None
                 } else {
                     Some(
@@ -355,7 +281,7 @@ impl SegmentStore {
                     )
                 };
                 self.cache
-                    .insert_encoded(node, &c.path, c.crc, cache_cols, Arc::clone(&batch));
+                    .insert(node, &c.path, c.crc, cache_cols, Arc::clone(&batch));
                 Ok(batch)
             })
             .collect::<Result<Vec<_>>>()?;
@@ -455,6 +381,16 @@ mod tests {
         names.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Scan every container and column of `table` on `node`.
+    fn scan_all(store: &SegmentStore, table: &str, node: NodeId, r: &PhaseRecorder) -> usize {
+        store
+            .scan(table, node, ScanSpec::columns(None), r)
+            .unwrap()
+            .iter()
+            .map(|b| b.num_rows())
+            .sum()
+    }
+
     #[test]
     fn load_and_scan_roundtrip() {
         let (cluster, store, def) = setup();
@@ -464,12 +400,11 @@ mod tests {
         assert_eq!(store.total_rows("t"), 99);
         assert_eq!(store.segment_rows("T"), vec![33, 33, 33]);
 
-        let mut all = 0;
-        for node in cluster.node_ids() {
-            for b in store.scan_node("t", node, &r, false).unwrap() {
-                all += b.num_rows();
-            }
-        }
+        let all: usize = cluster
+            .node_ids()
+            .into_iter()
+            .map(|node| scan_all(&store, "t", node, &r))
+            .sum();
         assert_eq!(all, 99);
     }
 
@@ -479,7 +414,7 @@ mod tests {
         let load_rec = rec(3);
         store.load(&def, vec![ids(3000)], &load_rec).unwrap();
         let r = rec(3);
-        store.scan_node("t", NodeId(0), &r, false).unwrap();
+        scan_all(&store, "t", NodeId(0), &r);
         let report = r.finish(cluster.profile());
         assert!(report.total_disk_read > 0);
         assert!(report.total_cpu_core_ns > 0.0);
@@ -497,15 +432,16 @@ mod tests {
         store.load(&def, vec![wide(4000)], &rec(1)).unwrap();
 
         let full = rec(1);
-        store.scan_node("w", NodeId(0), &full, false).unwrap();
+        scan_all(&store, "w", NodeId(0), &full);
         let full_cpu = full.finish(cluster.profile()).total_cpu_core_ns;
 
         // Fresh store so the cache can't serve the projected scan.
         let store2 = SegmentStore::new(cluster.clone());
         store2.load(&def, vec![wide(4000)], &rec(1)).unwrap();
         let narrow = rec(1);
+        let id = set(&["id"]);
         let batches = store2
-            .scan_node_projected("w", NodeId(0), &narrow, false, Some(&set(&["id"])))
+            .scan("w", NodeId(0), ScanSpec::columns(Some(&id)), &narrow)
             .unwrap();
         let narrow_cpu = narrow.finish(cluster.profile()).total_cpu_core_ns;
 
@@ -520,11 +456,11 @@ mod tests {
     fn repeated_scan_hits_cache_with_zero_decode_cpu() {
         let (cluster, store, def) = setup();
         store.load(&def, vec![ids(3000)], &rec(3)).unwrap();
-        store.scan_node("t", NodeId(0), &rec(3), false).unwrap();
+        scan_all(&store, "t", NodeId(0), &rec(3));
         assert!(store.block_cache().hits() == 0);
 
         let r = rec(3);
-        store.scan_node("t", NodeId(0), &r, false).unwrap();
+        scan_all(&store, "t", NodeId(0), &r);
         let report = r.finish(cluster.profile());
         assert!(store.block_cache().hits() > 0);
         assert_eq!(
@@ -547,10 +483,11 @@ mod tests {
             segmentation: Segmentation::RoundRobin,
         };
         store.load(&def, vec![wide(100)], &rec(1)).unwrap();
-        store.scan_node("w", NodeId(0), &rec(1), false).unwrap();
+        scan_all(&store, "w", NodeId(0), &rec(1));
         let r = rec(1);
+        let a = set(&["A"]);
         let batches = store
-            .scan_node_projected("w", NodeId(0), &r, false, Some(&set(&["A"])))
+            .scan("w", NodeId(0), ScanSpec::columns(Some(&a)), &r)
             .unwrap();
         assert!(store.block_cache().hits() > 0);
         // Served from the full-decode entry: all columns present.
@@ -587,7 +524,7 @@ mod tests {
     }
 
     #[test]
-    fn encoded_scan_keeps_rle_columns_and_caches_encoded() {
+    fn scan_keeps_rle_columns_and_caches_encoded() {
         let cluster = SimCluster::for_tests(1);
         let store = SegmentStore::new(cluster.clone());
         let schema = Schema::of(&[("grp", DataType::Int64), ("x", DataType::Float64)]);
@@ -609,52 +546,41 @@ mod tests {
 
         let r = rec(1);
         let ebs = store
-            .scan_node_encoded("lc", NodeId(0), &r, false, None)
+            .scan("lc", NodeId(0), ScanSpec::columns(None), &r)
             .unwrap();
         assert_eq!(ebs.len(), 1);
         assert_eq!(ebs[0].num_encoded(), 1, "grp stays in run form");
         let cold = r.finish(cluster.profile());
         assert!(cold.total_disk_read > 0);
 
-        // The entry sits on the encoded tier at encoded size — well below
-        // the fully decoded footprint (the plain float column still costs
-        // full size; the RLE column shrinks to a handful of runs).
-        assert_eq!(store.block_cache().encoded_len(), 1);
+        // The entry is charged at encoded size — well below the fully
+        // decoded footprint (the plain float column still costs full size;
+        // the RLE column shrinks to a handful of runs).
+        assert_eq!(store.block_cache().len(), 1);
         assert_eq!(store.block_cache().bytes_on(NodeId(0)), ebs[0].byte_size());
         let full_mask = vdr_columnar::Bitmap::all_valid(ebs[0].num_rows());
         let (full, _) = ebs[0].materialize(&full_mask, None).unwrap();
         assert!(ebs[0].byte_size() * 3 < full.byte_size() * 2);
 
-        // Re-scan: encoded-tier hit, zero decode CPU.
+        // Re-scan: cache hit, zero decode CPU.
         let r2 = rec(1);
-        store
-            .scan_node_encoded("lc", NodeId(0), &r2, false, None)
-            .unwrap();
+        scan_all(&store, "lc", NodeId(0), &r2);
         assert!(store.block_cache().hits() > 0);
         assert_eq!(r2.finish(cluster.profile()).total_cpu_core_ns, 0.0);
-
-        // A decoded-path scan of the same container misses (tier mismatch)
-        // and replaces the entry with a decoded one.
-        let r3 = rec(1);
-        store.scan_node("lc", NodeId(0), &r3, false).unwrap();
-        assert_eq!(store.block_cache().encoded_len(), 0);
-        assert_eq!(store.block_cache().len(), 1);
     }
 
     #[test]
     fn drop_and_recreate_does_not_serve_stale_blocks() {
         let (_, store, def) = setup();
         store.load(&def, vec![ids(90)], &rec(3)).unwrap();
-        store.scan_node("t", NodeId(0), &rec(3), false).unwrap();
+        scan_all(&store, "t", NodeId(0), &rec(3));
         store.drop_table("t");
         assert!(store.block_cache().is_empty(), "drop must purge the cache");
 
         // Re-create under the same name: container paths repeat from
         // c000000, so only the crc tag tells old from new.
         store.load(&def, vec![ids(30)], &rec(3)).unwrap();
-        let batches = store.scan_node("t", NodeId(0), &rec(3), false).unwrap();
-        let total: usize = batches.iter().map(|b| b.num_rows()).sum();
-        assert_eq!(total, 10);
+        assert_eq!(scan_all(&store, "t", NodeId(0), &rec(3)), 10);
     }
 
     #[test]
@@ -666,16 +592,16 @@ mod tests {
             store.load(&def, vec![ids(300)], &r).unwrap();
         }
         let node = NodeId(1);
-        let full: usize = store
-            .scan_node("t", node, &r, false)
-            .unwrap()
-            .iter()
-            .map(|b| b.num_rows())
-            .sum();
+        let full = scan_all(&store, "t", node, &r);
         let mut sliced = 0;
-        for s in 0..4 {
+        for slice in 0..4 {
+            let spec = ScanSpec {
+                slice,
+                num_slices: 4,
+                ..ScanSpec::columns(None)
+            };
             sliced += store
-                .scan_node_slice("t", node, s, 4, &r, false, None)
+                .scan("t", node, spec, &r)
                 .unwrap()
                 .iter()
                 .map(|b| b.num_rows())

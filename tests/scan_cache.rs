@@ -1,14 +1,14 @@
-//! Acceptance test for the scan-path overhaul: projection pushdown decodes
-//! only the referenced columns (observable through `exec.scan.cols_skipped`),
-//! a repeated scan is served from the decoded-block cache with zero decode
-//! CPU (observable through the ledger), and the cache invalidates on
-//! append, drop, and re-create.
+//! Acceptance tests for the scan path: projection pushdown decodes only the
+//! referenced columns (observable through `exec.scan.cols_skipped`), a
+//! repeated scan is served from the block cache with zero decode CPU
+//! (observable through the ledger) whatever statement shape scanned it
+//! first, and the cache invalidates on append, drop, and re-create.
 //!
-//! Kept as a single test function: vdr-obs metrics are process-global, and
-//! one sequential story keeps the counter arithmetic exact.
+//! The vdr-obs metrics are process-global, so the tests here serialize on
+//! one lock, and one sequential story keeps the counter arithmetic exact.
 
-use std::sync::Arc;
-use vertica_dr::cluster::SimCluster;
+use std::sync::{Arc, Mutex, MutexGuard};
+use vertica_dr::cluster::{PhaseKind, PhaseRecorder, SimCluster};
 use vertica_dr::columnar::{Batch, Column, DataType, Schema, Value};
 use vertica_dr::core::{Session, SessionOptions};
 use vertica_dr::verticadb::{Segmentation, TableDef, VerticaDb};
@@ -16,6 +16,11 @@ use vertica_dr::verticadb::{Segmentation, TableDef, VerticaDb};
 const NODES: u64 = 3;
 const ROWS: i64 = 300;
 const COLS: u64 = 6; // id + a..e
+
+fn metrics_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn wide_batch(rows: i64) -> Batch {
     let f = |scale: f64| Column::from_f64((0..rows).map(|i| i as f64 * scale).collect());
@@ -42,6 +47,7 @@ fn wide_batch(rows: i64) -> Batch {
 
 #[test]
 fn projection_skips_columns_and_cache_skips_decode() {
+    let _guard = metrics_lock();
     let db = VerticaDb::new(SimCluster::for_tests(NODES as usize));
     db.create_table(TableDef {
         name: "w".into(),
@@ -150,5 +156,44 @@ fn projection_skips_columns_and_cache_skips_decode() {
     assert_eq!(
         fresh.batch.row(0)[0],
         Value::Float64((0..30).map(|i| i as f64).sum())
+    );
+}
+
+/// A statement reuses what any earlier statement scanned: a filtered scan
+/// and a sort over the same columns share one cache entry per container.
+#[test]
+fn filtered_and_sorted_scans_share_cache_entries() {
+    let _guard = metrics_lock();
+    let db = VerticaDb::new(SimCluster::for_tests(NODES as usize));
+    db.query("CREATE TABLE t (grp INTEGER, x FLOAT)").unwrap();
+    let values: Vec<String> = (0..600)
+        .map(|i| format!("({}, {}.5)", (i * 7) % 50, i))
+        .collect();
+    db.query(&format!("INSERT INTO t VALUES {}", values.join(", ")))
+        .unwrap();
+    let cache = db.storage().block_cache();
+
+    db.query("SELECT grp, x FROM t WHERE grp = 1").unwrap();
+    let (hits, misses) = (cache.hits(), cache.misses());
+    assert_eq!(misses, NODES, "one cold container per node");
+
+    let rec = Arc::new(PhaseRecorder::new(
+        "t",
+        PhaseKind::Sequential,
+        NODES as usize,
+    ));
+    let top = db
+        .query_with("SELECT grp, x FROM t ORDER BY x LIMIT 5", &rec)
+        .unwrap();
+    assert_eq!(top.row(0), vec![Value::Int64(0), Value::Float64(0.5)]);
+    assert_eq!(cache.hits() - hits, NODES);
+    assert_eq!(cache.misses(), misses);
+    let Ok(rec) = Arc::try_unwrap(rec) else {
+        panic!("the statement still holds its recorder")
+    };
+    let report = rec.finish(db.cluster().profile());
+    assert_eq!(
+        report.total_cpu_core_ns, 0.0,
+        "a cached scan decodes nothing"
     );
 }

@@ -118,8 +118,8 @@ fn execution_engine_profiles_agree_with_the_session_trace_report() {
     );
 }
 
-/// The second ISSUE acceptance: `PROFILE` of a scan surfaces the PR-3
-/// decoded-block-cache counters, attributed to that statement's query id.
+/// `PROFILE` of a scan surfaces the block-cache counters, attributed to
+/// that statement's query id.
 #[test]
 fn profile_of_a_scan_surfaces_scan_cache_counters() {
     let db = db_with_table(3, 2_000);
