@@ -67,7 +67,18 @@ for workload in ("sql_mix", "fig3_pipeline", "ingest_scan"):
         sys.exit(f"perfbench smoke: no {key} metric")
     if metrics[key]["value"] != 0:
         sys.exit(f"perfbench smoke: {key} = {metrics[key]['value']}")
+# Everything sql_mix reads fits the block cache, and its untimed warm pass
+# runs every shape, so the widened entries must serve every timed scan.
+for key, want in (
+    ("sql_mix.verticadb.blockcache.hit_ratio", 1.0),
+    ("sql_mix.verticadb.blockcache.evictions", 0),
+):
+    if key not in metrics:
+        sys.exit(f"perfbench smoke: no {key} metric")
+    if metrics[key]["value"] != want:
+        sys.exit(f"perfbench smoke: {key} = {metrics[key]['value']}, want {want}")
 print(f"    attempted={last['attempted']} failed=0 correct=true reconcile_failures=0 on all workloads")
+print("    sql_mix: blockcache hit_ratio=1.0 evictions=0")
 EOF
 rm -f "$BENCH_OUT"
 

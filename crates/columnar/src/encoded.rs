@@ -428,11 +428,50 @@ impl EncodedBatch {
         self.plain.byte_size() + self.encoded.iter().map(|(_, e)| e.byte_size()).sum::<u64>()
     }
 
+    /// Every column as a [`ScanColumn`], in block order, cloned — the
+    /// input [`EncodedBatch::new`] takes, so a wider batch can be built from
+    /// this one's columns plus more.
+    pub fn scan_columns(&self) -> Vec<ScanColumn> {
+        let mut plain = self.plain.columns().iter();
+        let mut encoded = self.encoded.iter().peekable();
+        (0..self.schema.len())
+            .map(|i| match encoded.next_if(|(at, _)| *at == i) {
+                Some((_, e)) => ScanColumn::Encoded(e.clone()),
+                None => ScanColumn::Decoded(
+                    plain
+                        .next()
+                        .expect("one plain column per decoded field")
+                        .clone(),
+                ),
+            })
+            .collect()
+    }
+
+    /// The schema index of the column that is cheapest to carry: the
+    /// smallest decoded one, else the smallest encoded one.
+    fn cheapest_column(&self) -> Option<usize> {
+        let decoded = (0..self.schema.len())
+            .filter(|i| !self.encoded.iter().any(|(at, _)| at == i))
+            .zip(self.plain.columns())
+            .min_by_key(|(_, c)| c.byte_size())
+            .map(|(i, _)| i);
+        decoded.or_else(|| {
+            self.encoded
+                .iter()
+                .min_by_key(|(_, e)| e.byte_size())
+                .map(|(i, _)| *i)
+        })
+    }
+
     /// A plain [`Batch`] of the rows selected by `mask`, restricted to
     /// `subset` columns when given (names matched case-insensitively).
     /// Returns the batch plus the number of values that had to be expanded
     /// out of *encoded* columns — the late-materialization work the cost
     /// ledger charges (already-decoded columns just gather).
+    ///
+    /// A `subset` that names no column of the batch (`count(*)`, a constant
+    /// predicate) still yields the selected row count: the batch then holds
+    /// just the cheapest column, preferring a decoded one.
     ///
     /// When every row is selected and no encoded column is wanted, the
     /// decoded columns are borrowed as they are, with no copy; that batch
@@ -443,15 +482,19 @@ impl EncodedBatch {
         subset: Option<&HashSet<String>>,
     ) -> Result<(Cow<'_, Batch>, u64)> {
         assert_eq!(mask.len(), self.rows, "materialize mask length mismatch");
-        let keep = |name: &str| match subset {
-            None => true,
-            Some(set) => set.iter().any(|w| w.eq_ignore_ascii_case(name)),
-        };
-        let all = mask.all_set();
-        let wants_encoded = self
-            .encoded
+        let mut keep: Vec<bool> = self
+            .schema
+            .fields()
             .iter()
-            .any(|(i, _)| keep(&self.schema.field(*i).name));
+            .map(|f| subset.is_none_or(|set| set.iter().any(|w| w.eq_ignore_ascii_case(&f.name))))
+            .collect();
+        if !keep.contains(&true) {
+            if let Some(i) = self.cheapest_column() {
+                keep[i] = true;
+            }
+        }
+        let all = mask.all_set();
+        let wants_encoded = self.encoded.iter().any(|(i, _)| keep[*i]);
         if all && !wants_encoded && self.plain.num_columns() > 0 {
             return Ok((Cow::Borrowed(&self.plain), 0));
         }
@@ -463,7 +506,7 @@ impl EncodedBatch {
         let mut encoded = self.encoded.iter().peekable();
         for (i, f) in self.schema.fields().iter().enumerate() {
             let col = match encoded.next_if(|(at, _)| *at == i) {
-                Some((_, e)) if keep(&f.name) => {
+                Some((_, e)) if keep[i] => {
                     encoded_values += selected as u64;
                     if all {
                         e.decode()
@@ -474,7 +517,7 @@ impl EncodedBatch {
                 Some(_) => continue,
                 None => {
                     let col = plain.next().expect("one plain column per decoded field");
-                    if !keep(&f.name) {
+                    if !keep[i] {
                         continue;
                     }
                     if all {
@@ -679,5 +722,46 @@ mod tests {
             full.column_by_name("g").unwrap().get(0),
             Value::Varchar("a".into())
         );
+    }
+
+    #[test]
+    fn empty_projection_keeps_the_row_count() {
+        let schema = Schema::of(&[("k", DataType::Int64), ("g", DataType::Varchar)]);
+        let k = encode_and_parse(&Column::from_i64(vec![1, 1, 1, 2, 2, 3]), Encoding::Rle);
+        let g = encode_and_parse(
+            &Column::from_strings(vec!["a", "b", "a", "b", "a", "a"]),
+            Encoding::Dictionary,
+        );
+        let eb = EncodedBatch::new(
+            schema,
+            6,
+            vec![ScanColumn::Encoded(k), ScanColumn::Encoded(g)],
+        )
+        .unwrap();
+        let none = HashSet::new();
+        let mask = Bitmap::from_fn(6, |i| i % 3 != 1);
+        let (batch, expanded) = eb.materialize(&mask, Some(&none)).unwrap();
+        assert_eq!(batch.num_rows(), mask.count_set());
+        assert_eq!(batch.num_columns(), 1, "only the cheapest column is kept");
+        assert_eq!(expanded, mask.count_set() as u64);
+        // A decoded column is preferred, and borrowed when every row survives.
+        let x = Column::from_i64(vec![0, 1, 2, 3, 4, 5]);
+        let mut cols = eb.scan_columns();
+        cols.push(ScanColumn::Decoded(x));
+        let fields = [
+            ("k", DataType::Int64),
+            ("g", DataType::Varchar),
+            ("x", DataType::Int64),
+        ];
+        let mixed = EncodedBatch::new(Schema::of(&fields), 6, cols).unwrap();
+        let (batch, expanded) = mixed.materialize(&mask, Some(&none)).unwrap();
+        assert_eq!(batch.num_rows(), mask.count_set());
+        assert_eq!(batch.schema().names(), vec!["x"]);
+        assert_eq!(expanded, 0);
+        let (batch, _) = mixed
+            .materialize(&Bitmap::all_valid(6), Some(&none))
+            .unwrap();
+        assert!(matches!(batch, Cow::Borrowed(_)));
+        assert_eq!(batch.num_rows(), 6);
     }
 }

@@ -16,13 +16,18 @@
 //! (`drop_table`) removes a table's entries on every node. Projection
 //! pushdown interacts with caching: an entry remembers which columns it
 //! holds, and a lookup hits only if the wanted set is covered — a cached
-//! `{a, b}` batch serves a later `SELECT a`, but a `SELECT *` (wanted `None`
-//! ⇒ every column) must re-decode and then replaces the narrow entry.
+//! `{a, b}` batch serves a later `SELECT a`. An entry that lacks some wanted
+//! columns is handed back as [`Lookup::Partial`]: the scan decodes just the
+//! missing columns and inserts the union, so a container's entry *widens*
+//! to every column asked of it, as a column store reads each column of a
+//! container on its own. A `SELECT *` after `SELECT a` decodes the other
+//! columns once and never re-decodes `a`.
 //!
 //! Cost model: a hit charges `disk_cached_read` (memory-speed re-read) and
-//! **zero** decode CPU; misses pay the disk read and the per-value decode
-//! as before. Emits `scan.cache.{hit,miss,evict,invalidated}` per-node
-//! counters through `vdr-obs`.
+//! **zero** decode CPU; a miss or a partial entry pays the disk read and the
+//! per-value decode of the columns it lacked. Emits
+//! `scan.cache.{hit,miss,evict,invalidated}` per-node counters through
+//! `vdr-obs`; a partial entry counts as a miss.
 
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -30,6 +35,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use vdr_cluster::NodeId;
 use vdr_columnar::EncodedBatch;
+
+/// What [`BlockCache::get`] found for a container.
+#[derive(Debug)]
+pub enum Lookup {
+    /// The entry holds every wanted column.
+    Hit(Arc<EncodedBatch>),
+    /// The entry is current but lacks some wanted columns: decode only
+    /// those and insert the union. Counted as a miss.
+    Partial(Arc<EncodedBatch>),
+    /// No current entry.
+    Miss,
+}
 
 struct Entry {
     /// Content version tag: the container block's crc32.
@@ -87,18 +104,20 @@ impl BlockCache {
     /// content tag to match and the cached projection to cover `wanted`
     /// (`None` = all columns). A tag mismatch drops the stale entry and
     /// counts an invalidation; an uncovered projection counts a plain miss
-    /// (the caller re-decodes and the wider entry replaces this one).
+    /// and returns the entry as [`Lookup::Partial`], for the caller to
+    /// widen and re-insert.
     pub fn get(
         &self,
         node: NodeId,
         path: &str,
         crc: u32,
         wanted: Option<&HashSet<String>>,
-    ) -> Option<Arc<EncodedBatch>> {
+    ) -> Lookup {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
         let key = (node.0, path.to_string());
+        let mut partial = None;
         if let Some(e) = inner.entries.get_mut(&key) {
             if e.crc != crc {
                 let bytes = e.bytes;
@@ -121,13 +140,17 @@ impl BlockCache {
                     e.last_used = tick;
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     vdr_obs::counter_on("scan.cache.hit", node.0, 1);
-                    return Some(Arc::clone(&e.batch));
+                    return Lookup::Hit(Arc::clone(&e.batch));
                 }
+                partial = Some(Arc::clone(&e.batch));
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         vdr_obs::counter_on("scan.cache.miss", node.0, 1);
-        None
+        match partial {
+            Some(batch) => Lookup::Partial(batch),
+            None => Lookup::Miss,
+        }
     }
 
     /// Cache a scanned batch, charged at its encoded byte size. `cols` is
@@ -272,6 +295,14 @@ mod tests {
         names.iter().map(|s| s.to_string()).collect()
     }
 
+    fn is_hit(l: Lookup) -> bool {
+        matches!(l, Lookup::Hit(_))
+    }
+
+    fn is_miss(l: Lookup) -> bool {
+        matches!(l, Lookup::Miss)
+    }
+
     #[test]
     fn projection_coverage_rules() {
         let cache = BlockCache::new(1 << 20);
@@ -284,29 +315,62 @@ mod tests {
             Some(set(&["a", "b"])),
             b.clone(),
         );
-        assert!(cache
-            .get(NodeId(0), "tables/t/c0", 7, Some(&set(&["a"])))
-            .is_some());
-        assert!(cache
-            .get(NodeId(0), "tables/t/c0", 7, Some(&set(&["a", "b"])))
-            .is_some());
-        assert!(cache
-            .get(NodeId(0), "tables/t/c0", 7, Some(&set(&["c"])))
-            .is_none());
-        assert!(cache.get(NodeId(0), "tables/t/c0", 7, None).is_none());
+        assert!(is_hit(cache.get(
+            NodeId(0),
+            "tables/t/c0",
+            7,
+            Some(&set(&["a"]))
+        )));
+        assert!(is_hit(cache.get(
+            NodeId(0),
+            "tables/t/c0",
+            7,
+            Some(&set(&["a", "b"]))
+        )));
+        // A wider projection gets the held entry back, counted as a miss.
+        let (hits, misses) = (cache.hits(), cache.misses());
+        let partial = cache.get(NodeId(0), "tables/t/c0", 7, Some(&set(&["c"])));
+        assert!(matches!(&partial, Lookup::Partial(held) if Arc::ptr_eq(held, &b)));
+        assert!(matches!(
+            cache.get(NodeId(0), "tables/t/c0", 7, None),
+            Lookup::Partial(_)
+        ));
+        assert_eq!((cache.hits(), cache.misses()), (hits, misses + 2));
         // Full entry serves everything.
         cache.insert(NodeId(0), "tables/t/c0", 7, None, b);
-        assert!(cache.get(NodeId(0), "tables/t/c0", 7, None).is_some());
-        assert!(cache
-            .get(NodeId(0), "tables/t/c0", 7, Some(&set(&["z"])))
-            .is_some());
+        assert!(is_hit(cache.get(NodeId(0), "tables/t/c0", 7, None)));
+        assert!(is_hit(cache.get(
+            NodeId(0),
+            "tables/t/c0",
+            7,
+            Some(&set(&["z"]))
+        )));
+    }
+
+    #[test]
+    fn widened_insert_replaces_the_partial_entry() {
+        let narrow = batch(10);
+        let wide = batch(1000);
+        let cache = BlockCache::new(1 << 20);
+        cache.insert(NodeId(0), "c0", 3, Some(set(&["a"])), narrow);
+        let Lookup::Partial(_) = cache.get(NodeId(0), "c0", 3, Some(&set(&["a", "b"]))) else {
+            panic!("an uncovered projection returns the held entry")
+        };
+        cache.insert(NodeId(0), "c0", 3, Some(set(&["a", "b"])), wide.clone());
+        assert_eq!(cache.len(), 1, "one entry per container");
+        assert_eq!(cache.bytes_on(NodeId(0)), wide.byte_size());
+        assert_eq!(cache.evictions(), 0, "widening is not an eviction");
+        assert!(is_hit(cache.get(NodeId(0), "c0", 3, Some(&set(&["b"])))));
+        // A stale tag still invalidates rather than widening.
+        assert!(is_miss(cache.get(NodeId(0), "c0", 4, Some(&set(&["c"])))));
+        assert_eq!(cache.invalidations(), 1);
     }
 
     #[test]
     fn crc_mismatch_invalidates() {
         let cache = BlockCache::new(1 << 20);
         cache.insert(NodeId(1), "tables/t/c0", 1, None, batch(5));
-        assert!(cache.get(NodeId(1), "tables/t/c0", 2, None).is_none());
+        assert!(is_miss(cache.get(NodeId(1), "tables/t/c0", 2, None)));
         assert_eq!(cache.invalidations(), 1);
         // The stale entry is gone entirely.
         assert!(cache.is_empty());
@@ -323,12 +387,12 @@ mod tests {
         cache.insert(NodeId(1), "p0", 0, None, b.clone());
         assert_eq!(cache.len(), 3, "node budgets are independent");
         // Touch p0 so p1 becomes the LRU victim.
-        assert!(cache.get(NodeId(0), "p0", 0, None).is_some());
+        assert!(is_hit(cache.get(NodeId(0), "p0", 0, None)));
         cache.insert(NodeId(0), "p2", 0, None, b.clone());
         assert_eq!(cache.evictions(), 1);
-        assert!(cache.get(NodeId(0), "p1", 0, None).is_none(), "LRU evicted");
-        assert!(cache.get(NodeId(0), "p0", 0, None).is_some());
-        assert!(cache.get(NodeId(0), "p2", 0, None).is_some());
+        assert!(is_miss(cache.get(NodeId(0), "p1", 0, None)), "LRU evicted");
+        assert!(is_hit(cache.get(NodeId(0), "p0", 0, None)));
+        assert!(is_hit(cache.get(NodeId(0), "p2", 0, None)));
         assert!(cache.bytes_on(NodeId(0)) <= size * 2);
         // An oversized batch is refused outright.
         let tiny = BlockCache::new(8);
@@ -344,7 +408,7 @@ mod tests {
         cache.insert(NodeId(0), "tables/u/c0", 0, None, batch(1));
         cache.invalidate_prefix("tables/t/");
         assert_eq!(cache.len(), 1);
-        assert!(cache.get(NodeId(0), "tables/u/c0", 0, None).is_some());
+        assert!(is_hit(cache.get(NodeId(0), "tables/u/c0", 0, None)));
     }
 
     #[test]
@@ -358,6 +422,6 @@ mod tests {
         cache.insert(NodeId(0), "tables/t/c0", 5, None, eb.clone());
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.bytes_on(NodeId(0)), eb.byte_size());
-        assert!(cache.get(NodeId(0), "tables/t/c0", 5, None).is_some());
+        assert!(is_hit(cache.get(NodeId(0), "tables/t/c0", 5, None)));
     }
 }

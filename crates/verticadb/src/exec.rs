@@ -532,10 +532,17 @@ struct EncodedScanStats {
 }
 
 impl EncodedScanStats {
-    /// The `mask` rows of `eb` as a plain batch, counting what had to be
-    /// expanded out of encoded form.
-    fn materialize<'a>(&mut self, eb: &'a EncodedBatch, mask: &Bitmap) -> Result<Cow<'a, Batch>> {
-        let (batch, expanded) = eb.materialize(mask, None)?;
+    /// The `mask` rows of `eb`'s `wanted` columns (`None` = all) as a plain
+    /// batch, counting what had to be expanded out of encoded form. A cached
+    /// entry may hold more columns than the scan asked for; only the scan's
+    /// own are expanded.
+    fn materialize<'a>(
+        &mut self,
+        eb: &'a EncodedBatch,
+        mask: &Bitmap,
+        wanted: Option<&HashSet<String>>,
+    ) -> Result<Cow<'a, Batch>> {
+        let (batch, expanded) = eb.materialize(mask, wanted)?;
         self.expanded_values += expanded;
         if expanded > 0 {
             self.late_materialized_rows += mask.count_set() as u64;
@@ -603,9 +610,9 @@ fn node_pipeline(
         let mask = where_mask(stmt, &eb, &mut stats)?;
         rows_out += mask.count_set() as u64;
         match &mut result {
-            NodeResult::Partial(t) => t.update_encoded(&eb, &mask, &mut stats)?,
+            NodeResult::Partial(t) => t.update_encoded(&eb, &mask, wanted, &mut stats)?,
             NodeResult::Rows(_) => {
-                let batch = stats.materialize(&eb, &mask)?;
+                let batch = stats.materialize(&eb, &mask, wanted)?;
                 result.push(stmt, &batch)?;
             }
         }
@@ -702,8 +709,7 @@ fn decoded_predicate_leaf(
 ) -> Result<Bitmap> {
     let cols: HashSet<String> = e.columns().iter().map(|c| c.to_ascii_lowercase()).collect();
     let all = Bitmap::all_valid(eb.num_rows());
-    let subset = if cols.is_empty() { None } else { Some(&cols) };
-    let (batch, expanded) = eb.materialize(&all, subset)?;
+    let (batch, expanded) = eb.materialize(&all, Some(&cols))?;
     stats.expanded_values += expanded;
     e.eval_predicate(&batch)
 }
@@ -1088,7 +1094,7 @@ fn run_transform(
                     let mut input = Vec::with_capacity(scanned.len());
                     for eb in &scanned {
                         let mask = where_mask(stmt, eb, &mut stats)?;
-                        let mut batch = stats.materialize(eb, &mask)?;
+                        let mut batch = stats.materialize(eb, &mask, Some(&wanted))?;
                         if let Partition::By(col) = partition {
                             let key = batch.column_by_name(col)?;
                             let mine = Bitmap::from_fn(batch.num_rows(), |r| {

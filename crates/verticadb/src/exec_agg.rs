@@ -731,21 +731,22 @@ impl AggTable {
 
     /// Aggregate the `mask` rows of an encoded batch. A single
     /// dictionary-encoded key maps each code to its group once; any other
-    /// key late-materializes just the referenced columns.
+    /// key late-materializes just the scan's `wanted` columns.
     pub(super) fn update_encoded(
         &mut self,
         eb: &EncodedBatch,
         mask: &Bitmap,
+        wanted: Option<&HashSet<String>>,
         stats: &mut EncodedScanStats,
     ) -> Result<()> {
         let dict_key = match self.key_exprs.as_slice() {
             [Expr::Column(name)] => eb
                 .encoded_column(name)
-                .and_then(|col| col.dict().map(|d| (name, d, col.validity()))),
+                .and_then(|col| col.dict().map(|d| (d, col.validity()))),
             _ => None,
         };
-        let Some((key_name, (dict, codes), validity)) = dict_key else {
-            let batch = stats.materialize(eb, mask)?;
+        let Some(((dict, codes), validity)) = dict_key else {
+            let batch = stats.materialize(eb, mask, wanted)?;
             return self.update(&batch);
         };
         // Slot per dictionary code, plus one for NULL keys; only slots some
@@ -780,11 +781,6 @@ impl AggTable {
             if let Some(a) = arg {
                 add_expr_columns(&mut arg_cols, a);
             }
-        }
-        if arg_cols.is_empty() {
-            // Arguments that read no column (`sum(1)`) still need the row
-            // count, which a column-less batch does not carry.
-            arg_cols.insert(key_name.to_ascii_lowercase());
         }
         let (arg_batch, expanded) = eb.materialize(mask, Some(&arg_cols))?;
         stats.expanded_values += expanded;

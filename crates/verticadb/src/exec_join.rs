@@ -426,7 +426,7 @@ fn scan_side(
     let mut stats = EncodedScanStats::default();
     let mut out = Batch::empty(def.schema.project(&names)?);
     for eb in &scanned {
-        let batch = stats.materialize(eb, &Bitmap::all_valid(eb.num_rows()))?;
+        let batch = stats.materialize(eb, &Bitmap::all_valid(eb.num_rows()), wanted)?;
         // A cache entry may hold more columns than this scan wants.
         if batch.num_columns() == names.len() {
             out.extend(&batch)?;

@@ -16,11 +16,13 @@
 //! * **Block cache** — a node-local LRU of scanned batches keyed by
 //!   `(node, container path)`, validated by the container's crc32 and
 //!   charged at encoded size ([`crate::blockcache::BlockCache`]). Hits
-//!   charge a memory-speed `disk_cached_read` and zero decode CPU.
+//!   charge a memory-speed `disk_cached_read` and zero decode CPU. Entries
+//!   widen: a scan that wants columns an entry lacks decodes only those and
+//!   caches the union, so alternating projections stop re-decoding.
 //! * **Parallel container decode** — each node's containers are decoded on
 //!   the rayon pool, mirroring a real node's per-core scan threads.
 
-use crate::blockcache::BlockCache;
+use crate::blockcache::{BlockCache, Lookup};
 use crate::catalog::TableDef;
 use crate::error::{DbError, Result};
 use parking_lot::RwLock;
@@ -32,7 +34,7 @@ use std::time::Instant;
 use vdr_cluster::{NodeId, PhaseRecorder, SimCluster};
 use vdr_columnar::{
     block_checksum, block_column_info, decode_batch_encoded, encode_batch, encoding::Encoding,
-    Batch, EncodedBatch,
+    Batch, EncodedBatch, Field, ScanColumn, Schema,
 };
 
 /// Fraction of a node's RAM given to the block cache (1/32 of the profile's
@@ -213,12 +215,13 @@ impl SegmentStore {
     }
 
     /// Read the containers of `table` on `node` that `spec` selects, as
-    /// [`EncodedBatch`]es holding the `spec.wanted` columns, charging cold
-    /// disk reads (or cached re-reads) and the eager decode CPU to `rec`.
-    /// Rle/Dictionary columns stay encoded: their expansion is charged where
-    /// the executor materializes them, for the rows it keeps. Containers are
-    /// decoded in parallel on the rayon pool; cache hits skip decode
-    /// entirely.
+    /// [`EncodedBatch`]es holding (at least) the `spec.wanted` columns,
+    /// charging cold disk reads (or cached re-reads) and the eager decode
+    /// CPU to `rec`. Rle/Dictionary columns stay encoded: their expansion is
+    /// charged where the executor materializes them, for the rows it keeps.
+    /// Containers are decoded in parallel on the rayon pool; cache hits skip
+    /// decode entirely, and a cached entry that lacks some wanted columns
+    /// decodes just those and is widened to the union.
     pub fn scan(
         &self,
         table: &str,
@@ -243,20 +246,46 @@ impl SegmentStore {
             .collect::<Vec<_>>()
             .par_iter()
             .map(|c| -> Result<Arc<EncodedBatch>> {
-                if let Some(hit) = self.cache.get(node, &c.path, c.crc, wanted_lc.as_ref()) {
+                let held = match self.cache.get(node, &c.path, c.crc, wanted_lc.as_ref()) {
                     // The scanned batch is already resident: memory-speed
                     // re-read of the container, no decode CPU at all.
-                    rec.disk_cached_read(node, c.bytes);
-                    return Ok(hit);
-                }
+                    Lookup::Hit(hit) => {
+                        rec.disk_cached_read(node, c.bytes);
+                        return Ok(hit);
+                    }
+                    Lookup::Partial(held) => Some(held),
+                    Lookup::Miss => None,
+                };
                 let raw = disk.read(&c.path)?;
                 if spec.cached {
                     rec.disk_cached_read(node, c.bytes);
                 } else {
                     rec.disk_read(node, c.bytes);
                 }
+                // Decode only the wanted columns the held entry lacks.
+                let missing = match &held {
+                    None => None,
+                    Some(held) => {
+                        let missing: HashSet<String> = c
+                            .columns
+                            .iter()
+                            .map(|col| col.name.to_ascii_lowercase())
+                            .filter(|name| {
+                                wanted_lc.as_ref().is_none_or(|w| w.contains(name))
+                                    && held.schema().index_of(name).is_err()
+                            })
+                            .collect();
+                        if missing.is_empty() {
+                            // The uncovered names are not columns of the
+                            // block: the held entry has all there is.
+                            return Ok(Arc::clone(held));
+                        }
+                        Some(missing)
+                    }
+                };
                 let started = Instant::now();
-                let (batch, stats) = decode_batch_encoded(&raw, wanted_lc.as_ref())?;
+                let (fresh, stats) =
+                    decode_batch_encoded(&raw, missing.as_ref().or(wanted_lc.as_ref()))?;
                 let values = stats.values_decoded();
                 rec.cpu_work(node, values as f64, scan_cost);
                 if values > 0 {
@@ -267,8 +296,11 @@ impl SegmentStore {
                     );
                 }
                 cols_skipped.fetch_add(stats.cols_skipped() as u64, Ordering::Relaxed);
-                let batch = Arc::new(batch);
-                let cache_cols = if stats.cols_skipped() == 0 {
+                let batch = Arc::new(match held {
+                    None => fresh,
+                    Some(held) => widen(&held, &fresh, &c.columns)?,
+                });
+                let cache_cols = if batch.num_columns() == c.columns.len() {
                     None
                 } else {
                     Some(
@@ -327,6 +359,22 @@ impl SegmentStore {
         }
         Ok(loaded)
     }
+}
+
+/// One batch of `held`'s columns and the freshly decoded `fresh` ones, in
+/// the container's block order `order`.
+fn widen(held: &EncodedBatch, fresh: &EncodedBatch, order: &[ColumnStat]) -> Result<EncodedBatch> {
+    let mut cols: Vec<(Field, ScanColumn)> = [held, fresh]
+        .into_iter()
+        .flat_map(|b| b.schema().fields().iter().cloned().zip(b.scan_columns()))
+        .collect();
+    cols.sort_by_key(|(f, _)| order.iter().position(|c| c.name == f.name));
+    let (fields, cols): (Vec<Field>, Vec<ScanColumn>) = cols.into_iter().unzip();
+    Ok(EncodedBatch::new(
+        Schema::new(fields),
+        held.num_rows(),
+        cols,
+    )?)
 }
 
 #[cfg(test)]
@@ -492,6 +540,83 @@ mod tests {
         assert!(store.block_cache().hits() > 0);
         // Served from the full-decode entry: all columns present.
         assert_eq!(batches[0].num_columns(), 4);
+    }
+
+    #[test]
+    fn partial_entry_widens_and_decodes_only_missing_columns() {
+        let cluster = SimCluster::for_tests(1);
+        let store = SegmentStore::new(cluster.clone());
+        let def = TableDef {
+            name: "W".into(),
+            schema: wide(1).schema().clone(),
+            segmentation: Segmentation::RoundRobin,
+        };
+        store.load(&def, vec![wide(4000)], &rec(1)).unwrap();
+        let scan = |cols: &[&str]| {
+            let wanted = set(cols);
+            let r = rec(1);
+            let batches = store
+                .scan("w", NodeId(0), ScanSpec::columns(Some(&wanted)), &r)
+                .unwrap();
+            (batches, r.finish(cluster.profile()))
+        };
+        let (_, a) = scan(&["a"]);
+        // `{c, b}` misses on the `{a}` entry and decodes just b and c.
+        let (batches, cb) = scan(&["c", "b"]);
+        let cache = store.block_cache();
+        assert_eq!((cache.hits(), cache.misses()), (0, 2));
+        assert!(cb.total_disk_read > 0, "a partial entry pays the read");
+        assert_eq!(cb.total_cpu_core_ns, 2.0 * a.total_cpu_core_ns);
+        // The union, in block order, replaces the narrow entry.
+        assert_eq!(batches[0].schema().names(), vec!["a", "b", "c"]);
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.bytes_on(NodeId(0)), batches[0].byte_size());
+        let mask = vdr_columnar::Bitmap::all_valid(4000);
+        let (got, _) = batches[0].materialize(&mask, None).unwrap();
+        assert_eq!(
+            got.into_owned(),
+            wide(4000).project(&["a", "b", "c"]).unwrap()
+        );
+        // Any subset of the union now hits with no decode.
+        let (_, ab) = scan(&["A", "b"]);
+        assert_eq!(cache.hits(), 1);
+        assert_eq!(ab.total_cpu_core_ns, 0.0);
+        // SELECT * decodes the one column left; the entry is then whole.
+        let full = rec(1);
+        let before = cache.misses();
+        assert_eq!(scan_all(&store, "w", NodeId(0), &full), 4000);
+        assert_eq!(cache.misses(), before + 1);
+        assert_eq!(
+            full.finish(cluster.profile()).total_cpu_core_ns,
+            a.total_cpu_core_ns
+        );
+        scan_all(&store, "w", NodeId(0), &rec(1));
+        assert_eq!(cache.hits(), 2);
+    }
+
+    #[test]
+    fn unknown_wanted_names_do_not_duplicate_held_columns() {
+        let cluster = SimCluster::for_tests(1);
+        let store = SegmentStore::new(cluster.clone());
+        let def = TableDef {
+            name: "W".into(),
+            schema: wide(1).schema().clone(),
+            segmentation: Segmentation::RoundRobin,
+        };
+        store.load(&def, vec![wide(100)], &rec(1)).unwrap();
+        let a = set(&["a"]);
+        store
+            .scan("w", NodeId(0), ScanSpec::columns(Some(&a)), &rec(1))
+            .unwrap();
+        // `zz` is no column of the block: the `{a}` entry is all there is.
+        let a_zz = set(&["a", "zz"]);
+        let r = rec(1);
+        let batches = store
+            .scan("w", NodeId(0), ScanSpec::columns(Some(&a_zz)), &r)
+            .unwrap();
+        assert_eq!(batches[0].schema().names(), vec!["a"]);
+        assert_eq!(store.block_cache().misses(), 2);
+        assert_eq!(r.finish(cluster.profile()).total_cpu_core_ns, 0.0);
     }
 
     #[test]
